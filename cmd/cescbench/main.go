@@ -342,6 +342,23 @@ func writeBenchJSON(path string) error {
 			}
 		}},
 	}
+	// TableStep*: StepPacked on a table-bound engine (Engine.UseTable),
+	// the step lane-eligible cescd sessions run.
+	for _, fig := range figs {
+		tab, err := monitor.CompileTable(fig.mon)
+		if err != nil {
+			return fmt.Errorf("%s: %w", fig.name, err)
+		}
+		benches = append(benches, namedBench{"TableStep" + fig.name + "Traffic", func(b *testing.B) {
+			eng := fig.prog.NewEngine(nil, monitor.ModeDetect)
+			if err := eng.UseTable(tab); err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				eng.StepPacked(fig.packed[i%len(fig.packed)])
+			}
+		}})
+	}
 	lanes, err := laneBenches(figs)
 	if err != nil {
 		return err

@@ -17,8 +17,9 @@ import (
 //
 //   - the three execution tiers (interpreted engine, compiled
 //     guard-program engine via both the map and packed step paths, and —
-//     when the monitor's shape admits it — the precomputed transition
-//     table) must produce identical accept-tick sequences;
+//     when the monitor's shape admits it — the engine resolving fired
+//     transitions in the precomputed table) must produce identical
+//     accept-tick sequences;
 //   - the semantics oracle sandwiches the monitor per chart class:
 //     pattern-shaped charts get the exact-matcher equality and the
 //     history-abstraction subset bounds, NFA-shaped charts get exact
@@ -51,25 +52,25 @@ func checkChart(c chart.Chart, tr trace.Trace) *Divergence {
 			Detail: fmt.Sprintf("interp accepts %v, packed accepts %v", interp, packed)}
 	}
 
-	// The transition table cannot reverse pending scoreboard actions on a
-	// hard reset the way the engines do, so it is only comparable when no
-	// hard reset can occur (total monitor) or no actions exist to reverse.
-	total, _ := m.Total()
-	if total || !m.HasActions() {
-		if tbl, err := monitor.Compile(m); err == nil {
-			tblTicks := acceptTicks(func(s event.State) monitor.StepResult {
-				if tbl.Step(s) {
-					return monitor.StepResult{Outcome: monitor.Accepted}
-				}
-				return monitor.StepResult{}
-			}, tr)
-			if !sameInts(interp, tblTicks) {
-				return &Divergence{Kind: "tier-table",
-					Detail: fmt.Sprintf("interp accepts %v, table accepts %v", interp, tblTicks)}
-			}
+	// The table-bound engine is the table path production runs: the same
+	// engine with fired transitions looked up instead of scanned.
+	if tab, err := monitor.CompileTable(m); err == nil {
+		tblEng := prog.NewEngine(nil, monitor.ModeDetect)
+		if err := tblEng.UseTable(tab); err != nil {
+			return &Divergence{Kind: "table-bind-error", Detail: err.Error()}
+		}
+		tblTicks := acceptTicks(tblEng.Step, tr)
+		if !sameInts(interp, tblTicks) {
+			return &Divergence{Kind: "tier-table",
+				Detail: fmt.Sprintf("interp accepts %v, table accepts %v", interp, tblTicks)}
 		}
 	}
 
+	// The Compiled cursors LaneBank is checked against cannot reverse
+	// pending scoreboard actions on a hard reset the way the engines do, so
+	// lane accepts are only comparable with the engines when no hard reset
+	// can occur (total monitor) or no actions exist to reverse.
+	total, _ := m.Total()
 	if d := laneCheck(m, tr, interp, total || !m.HasActions()); d != nil {
 		return d
 	}
@@ -82,8 +83,7 @@ func checkChart(c chart.Chart, tr trace.Trace) *Divergence {
 			}
 			return monitor.StepResult{}
 		}, tr)
-		skipDet := det.Tier() == verif.TierTable && !total && m.HasActions()
-		if !skipDet && !sameInts(interp, detTicks) {
+		if !sameInts(interp, detTicks) {
 			return &Divergence{Kind: "tier-detector",
 				Detail: fmt.Sprintf("interp accepts %v, %s detector accepts %v", interp, det.Tier(), detTicks)}
 		}
@@ -170,11 +170,11 @@ func oracleCheck(c chart.Chart, m *monitor.Monitor, tr trace.Trace, accepts []in
 // accept bit, violation bit, and state — with 64 per-session Compiled
 // cursors at every tick (that parity is unconditional: lanes mirror the
 // full chk-bit and action-counter semantics of the table). Lane accept
-// ticks are additionally compared against the interpreted engine under
-// the same gate as the table tier (comparable), since only then can the
-// table itself be trusted against the engines. A second bank joins its
-// lanes staggered, one per tick, so mid-stream membership churn is
-// exercised against cursors created at the same offsets.
+// ticks are additionally compared against the interpreted engine only
+// when comparable (no hard reset can undo pending adds, or none exist),
+// since only then do the Compiled cursors match the engines. A second
+// bank joins its lanes staggered, one per tick, so mid-stream membership
+// churn is exercised against cursors created at the same offsets.
 func laneCheck(m *monitor.Monitor, tr trace.Trace, interp []int, comparable bool) *Divergence {
 	tbl, err := monitor.CompileTable(m)
 	if err != nil {

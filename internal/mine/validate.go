@@ -91,14 +91,10 @@ func Validate(m *Mined, c *Corpus, cfg Config) *Result {
 		return res.fail("assert program compile: %v", err)
 	}
 
-	// The transition table cannot reverse pending scoreboard actions on a
-	// hard reset, so it is only differential-comparable when no hard
-	// reset can occur or no actions exist (same gate as the conformance
-	// harness).
-	assertTotal, _ := assertMon.Total()
-	assertComparable := assertTotal || !assertMon.HasActions()
-	scenTotal, _ := scenMon.Total()
-	scenComparable := scenTotal || !scenMon.HasActions()
+	// The table-bound engines are the table path production runs; they
+	// join the differential whenever the monitor fits the table compiler.
+	scenTable := tableEngine(scenMon, scenProg)
+	assertTable := tableEngine(assertMon, assertProg)
 
 	for si, seg := range segs {
 		// Scenario view: accept ticks must agree across tiers and stay
@@ -118,18 +114,11 @@ func Validate(m *Mined, c *Corpus, cfg Config) *Result {
 			res.Divergent = true
 			return res.fail("segment %d: scenario tier divergence interp=%v packed=%v", si, interp, packed)
 		}
-		if scenComparable {
-			if tbl, err := monitor.Compile(scenMon); err == nil {
-				var tblTicks []int
-				for i, s := range seg {
-					if tbl.Step(s) {
-						tblTicks = append(tblTicks, i)
-					}
-				}
-				if !equalInts(interp, tblTicks) {
-					res.Divergent = true
-					return res.fail("segment %d: scenario tier divergence interp=%v table=%v", si, interp, tblTicks)
-				}
+		if scenTable != nil {
+			tblTicks := stepTicks(scenTable().Step, seg, monitor.Accepted)
+			if !equalInts(interp, tblTicks) {
+				res.Divergent = true
+				return res.fail("segment %d: scenario tier divergence interp=%v table=%v", si, interp, tblTicks)
 			}
 		}
 		o := semantics.NewOracle(seg)
@@ -147,21 +136,11 @@ func Validate(m *Mined, c *Corpus, cfg Config) *Result {
 			res.Divergent = true
 			return res.fail("segment %d: assert tier divergence interp=%v program=%v", si, aviol, aprog)
 		}
-		if assertComparable {
-			if tbl, err := monitor.CompileTable(assertMon); err == nil {
-				inst := tbl.NewInstance()
-				var tblViol []int
-				for i, s := range seg {
-					before := inst.Violations()
-					inst.Step(s)
-					if inst.Violations() > before {
-						tblViol = append(tblViol, i)
-					}
-				}
-				if !equalInts(aviol, tblViol) {
-					res.Divergent = true
-					return res.fail("segment %d: assert tier divergence interp=%v table=%v", si, aviol, tblViol)
-				}
+		if assertTable != nil {
+			tblViol := stepTicks(assertTable().Step, seg, monitor.Violated)
+			if !equalInts(aviol, tblViol) {
+				res.Divergent = true
+				return res.fail("segment %d: assert tier divergence interp=%v table=%v", si, aviol, tblViol)
 			}
 		}
 		res.Violations += len(aviol)
@@ -311,6 +290,21 @@ func cloneWindow(seg trace.Trace, tick, n int) trace.Trace {
 		out[i] = st
 	}
 	return out
+}
+
+// tableEngine compiles m's transition table once and returns a maker of
+// fresh detect-mode program engines resolving through it; nil when m
+// exceeds the table compiler's width.
+func tableEngine(m *monitor.Monitor, p *monitor.Program) func() *monitor.Engine {
+	tab, err := monitor.CompileTable(m)
+	if err != nil {
+		return nil
+	}
+	return func() *monitor.Engine {
+		e := p.NewEngine(nil, monitor.ModeDetect)
+		_ = e.UseTable(tab) // cannot fail: tab and p are compiled from m
+		return e
+	}
 }
 
 // stepTicks runs one engine step function over the trace and returns the

@@ -8,11 +8,12 @@ import (
 	"repro/internal/expr"
 )
 
-// Table is the immutable, shareable core of the table-driven execution
-// tier: the transition function of a monitor precomputed over every
-// (input valuation, scoreboard-bit vector) pair. One Table backs any
-// number of Compiled instances and LaneBanks concurrently — it is
-// read-only after CompileTable returns, so sharing needs no locks.
+// Table is the transition function of a monitor precomputed over every
+// (input valuation, scoreboard-bit vector) pair. It is immutable and
+// shareable: one Table resolves fired transitions for any number of
+// table-bound engines (Engine.UseTable) and backs LaneBanks and their
+// Compiled reference cursors concurrently — it is read-only after
+// CompileTable returns, so sharing needs no locks.
 type Table struct {
 	m   *Monitor
 	sup *event.Support
@@ -30,7 +31,7 @@ type Table struct {
 	// action order (order matters — a del of a zero count is a no-op, so
 	// del-then-add and add-then-del differ). Events outside chkEvents can
 	// never influence a guard and are dropped from the resolved form
-	// (Compiled keeps its name-keyed counts for the diagnostics surface).
+	// (Compiled keeps name-keyed counts for every action event).
 	acts [][][]tableOp
 }
 
@@ -137,26 +138,14 @@ func (t *Table) ChkEvents() []string { return t.chkEvents }
 // Width returns the number of support bits in a table index.
 func (t *Table) Width() int { return int(t.width) }
 
-// Stride returns the number of table entries per state.
-func (t *Table) Stride() int { return t.stride }
-
 // TableBytes reports the transition table footprint, for sizing
 // diagnostics.
 func (t *Table) TableBytes() int { return 8 * len(t.next) }
 
-// Lookup resolves one (state, index) cell: the raw target state (before
-// the violation-sink reset) and the fired transition index (-1 none).
-// idx is the support valuation in the low width bits or'd with the chk
-// bits above them; bits beyond the stride are masked off.
-func (t *Table) Lookup(state int, idx uint64) (to int, fired int) {
-	i := state*t.stride + int(idx&uint64(t.stride-1))
-	return int(t.next[i]), int(t.trans[i])
-}
-
-// Fired resolves only the fired transition index of a (state, index)
-// cell. For chk-free monitors idx is just the packed support valuation,
-// which lets batch steppers replace per-guard program evaluation with
-// one load.
+// Fired resolves the fired transition index (-1 none) of a (state,
+// index) cell: idx is the support valuation in the low width bits or'd
+// with the chk bits above them. It is how a table-bound engine
+// (Engine.UseTable) replaces per-guard program evaluation with one load.
 func (t *Table) Fired(state int, idx uint64) int {
 	return int(t.trans[state*t.stride+int(idx&uint64(t.stride-1))])
 }
@@ -165,16 +154,16 @@ func (t *Table) Fired(state int, idx uint64) int {
 // only then is a table index a pure support valuation.
 func (t *Table) ChkFree() bool { return len(t.chkEvents) == 0 }
 
-// Compiled is the table-driven fast path for monitor execution: a
-// private cursor (state + scoreboard counters) over a shared Table, so
-// a step is two table lookups and a handful of counter updates instead
-// of guard-tree evaluation. It exists to close the throughput gap
-// between synthesized monitors and hand-written checkers (experiment
-// E10); parity with the interpreted engine is property-tested.
+// Compiled is a private cursor (state + scoreboard counters) over a
+// shared Table: a step is two table lookups and a handful of counter
+// updates. It is the scalar reference LaneBank is differentially tested
+// against — lanes copy its semantics bit for bit. It is not the
+// monitor: on a hard reset it does not reverse pending Add_evt entries
+// the way Engine does, so production stepping uses a table-bound Engine
+// (Engine.UseTable) instead.
 //
-// The fast path is single-goroutine and owns a private scoreboard (plain
-// counters, no locking), so it does not participate in multi-clock
-// shared-scoreboard execution — use the interpreted Engine there.
+// A Compiled is single-goroutine and owns a private scoreboard (plain
+// counters, no locking).
 type Compiled struct {
 	t *Table
 	// counts is the private scoreboard.
@@ -184,9 +173,6 @@ type Compiled struct {
 	accepts    int
 	steps      int
 	violations int
-	// diag, when armed via EnableDiagnostics, retains recent inputs and
-	// produces the same violation reports as the interpreted engine.
-	diag *diagState
 }
 
 // Compile builds the table-driven form of m with a fresh private
@@ -232,12 +218,8 @@ func (c compiledCtx) ChkEvt(name string) bool {
 // Step consumes one input element; it reports whether the monitor
 // accepted at this tick.
 func (c *Compiled) Step(s event.State) bool {
-	if c.diag != nil {
-		c.diag.observe(s)
-	}
 	t := c.t
-	val := uint64(t.sup.Valuation(s))
-	idx := val
+	idx := uint64(t.sup.Valuation(s))
 	for i, e := range t.chkEvents {
 		if c.counts[e] > 0 {
 			idx |= 1 << (t.width + uint(i))
@@ -267,9 +249,6 @@ func (c *Compiled) Step(s event.State) bool {
 	// the sink until the next uncovered input.
 	if t.m.Violation != NoState && to == t.m.Violation {
 		c.violations++
-		if c.diag != nil {
-			c.recordViolation(int(ti), val, s)
-		}
 		to = t.m.Initial
 	}
 	c.state = to
@@ -280,77 +259,6 @@ func (c *Compiled) Step(s event.State) bool {
 	}
 	return false
 }
-
-// EnableDiagnostics arms violation reporting exactly as on the
-// interpreted engine; depth <= 0 disables.
-func (c *Compiled) EnableDiagnostics(depth int) {
-	if depth <= 0 {
-		c.diag = nil
-		return
-	}
-	c.diag = &diagState{depth: depth, ring: make([]event.State, depth), sup: c.t.sup}
-}
-
-// Diagnostics returns the recorded violation reports (nil when
-// diagnostics are disabled or no violation occurred).
-func (c *Compiled) Diagnostics() []Diagnostic {
-	if c.diag == nil {
-		return nil
-	}
-	return c.diag.reports
-}
-
-// recordViolation captures provenance matching Engine.recordViolation:
-// same tick convention (pre-increment), same pre-move state, and the
-// private counts scoreboard rendered exactly as Scoreboard.Live would.
-func (c *Compiled) recordViolation(ti int, val uint64, s event.State) {
-	m := c.t.m
-	rep := Diagnostic{
-		Monitor:    m.Name,
-		Tick:       c.steps,
-		FromState:  c.state,
-		GridLine:   gridLine(m, c.state),
-		Guards:     c.guardStrings(c.state),
-		Valuation:  val,
-		Input:      s.Clone(),
-		Recent:     c.diag.recent(),
-		Scoreboard: c.liveCounts(),
-	}
-	if ti >= 0 {
-		rep.Guard = m.Trans[c.state][ti].Guard.String()
-	}
-	c.diag.push(rep)
-}
-
-// guardStrings renders the candidate guards of state s in transition
-// order.
-func (c *Compiled) guardStrings(s int) []string {
-	m := c.t.m
-	if s < 0 || s >= len(m.Trans) || len(m.Trans[s]) == 0 {
-		return nil
-	}
-	out := make([]string, len(m.Trans[s]))
-	for i := range m.Trans[s] {
-		out[i] = m.Trans[s][i].Guard.String()
-	}
-	return out
-}
-
-// liveCounts renders the private scoreboard the way Scoreboard.Live
-// does: names with positive counts, sorted.
-func (c *Compiled) liveCounts() []string {
-	var out []string
-	for e, n := range c.counts {
-		if n > 0 {
-			out = append(out, e)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Table returns the shared transition table backing this instance.
-func (c *Compiled) Table() *Table { return c.t }
 
 // State returns the current automaton state.
 func (c *Compiled) State() int { return c.state }

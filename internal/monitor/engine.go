@@ -183,16 +183,6 @@ func (e *Engine) StepPacked(in event.Packed) StepResult {
 	return e.finish(e.firedPacked(in, e.b.remap), s)
 }
 
-// StepFired applies an externally resolved fired-transition index —
-// typically a shared Table lookup over a packed batch valuation — and
-// classifies the move exactly as Step would. It is only equivalent to
-// Step when the resolver sees everything a guard can: the caller must
-// restrict it to chk-free monitors (no scoreboard in guards) with
-// diagnostics off (no input ring to feed). Actions still apply.
-func (e *Engine) StepFired(fired int) StepResult {
-	return e.finish(fired, event.State{})
-}
-
 // firedAST scans the current state's transitions interpreting guard
 // ASTs; it returns the fired transition index or -1.
 func (e *Engine) firedAST(s event.State) int {
@@ -205,13 +195,21 @@ func (e *Engine) firedAST(s event.State) int {
 	return -1
 }
 
-// firedPacked scans the current state's compiled guards over a packed
-// valuation, sampling the scoreboard once for all Chk_evt atoms — and
-// not at all in states whose guards never test it.
+// firedPacked resolves the fired transition over a packed valuation,
+// sampling the scoreboard once for all Chk_evt atoms — and not at all in
+// states whose guards never test it. A table-bound engine (UseTable)
+// looks the answer up; otherwise the state's compiled guards are scanned.
 func (e *Engine) firedPacked(in event.Packed, remap []int32) int {
 	var chk uint64
 	if e.b.prog.chkByState[e.state] {
 		chk = e.sb.ChkBits(e.b.chkSlots)
+	}
+	if t := e.b.tab; t != nil {
+		var word uint64
+		if len(in) > 0 {
+			word = in[0]
+		}
+		return t.Fired(e.state, word|chk<<t.width)
 	}
 	for i, g := range e.b.prog.guards[e.state] {
 		if g.EvalPacked(in, remap, chk) {

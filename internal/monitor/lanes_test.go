@@ -278,130 +278,3 @@ func TestLaneBankSpill(t *testing.T) {
 		t.Fatalf("count wrapped: %d", n)
 	}
 }
-
-// fusedMonitors builds three overlapping chk-free monitors, one with a
-// violation sink, for the product-table differential.
-func fusedMonitors() []*Monitor {
-	a, b, c := expr.Ev("a"), expr.Ev("b"), expr.Ev("c")
-	m1 := New("seq-ab", "clk", 3)
-	m1.AddTransition(0, Transition{To: 1, Guard: a})
-	m1.AddTransition(0, Transition{To: 0, Guard: expr.Not(a)})
-	m1.AddTransition(1, Transition{To: 2, Guard: b})
-	m1.AddTransition(1, Transition{To: 0, Guard: expr.Not(b)})
-	m1.AddTransition(2, Transition{To: 0, Guard: expr.True})
-
-	m2 := New("b-then-c", "clk", 4)
-	m2.Final = 2
-	m2.Violation = 3
-	m2.AddTransition(0, Transition{To: 1, Guard: b})
-	m2.AddTransition(0, Transition{To: 0, Guard: expr.Not(b)})
-	m2.AddTransition(1, Transition{To: 2, Guard: c})
-	m2.AddTransition(1, Transition{To: 3, Guard: expr.Not(c)})
-	m2.AddTransition(2, Transition{To: 0, Guard: expr.True})
-	m2.AddTransition(3, Transition{To: 0, Guard: expr.True})
-
-	m3 := New("pulse-c", "clk", 2)
-	m3.AddTransition(0, Transition{To: 1, Guard: c})
-	m3.AddTransition(0, Transition{To: 0, Guard: expr.Not(c)})
-	m3.AddTransition(1, Transition{To: 0, Guard: expr.True})
-	return []*Monitor{m1, m2, m3}
-}
-
-func TestFusedTableMatchesCompiled(t *testing.T) {
-	ms := fusedMonitors()
-	f, err := NewFusedTable(ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := make([]*Compiled, len(ms))
-	for i, m := range ms {
-		if refs[i], err = Compile(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mask := uint64(1)<<uint(f.Support().Len()) - 1
-	rng := xorshift(43)
-	for tick := 0; tick < 4000; tick++ {
-		v := rng.next() & mask
-		s := f.Support().State(event.Valuation(v))
-		prevViol := make([]int, len(refs))
-		for i, c := range refs {
-			prevViol[i] = c.Violations()
-		}
-		acceptMask, violMask := f.Step(v)
-		for i, c := range refs {
-			accepted := c.Step(s)
-			if got := acceptMask>>uint(i)&1 == 1; got != accepted {
-				t.Fatalf("tick %d monitor %d: accept %v, reference %v", tick, i, got, accepted)
-			}
-			if got := violMask>>uint(i)&1 == 1; got != (c.Violations() > prevViol[i]) {
-				t.Fatalf("tick %d monitor %d: violation bit mismatch", tick, i)
-			}
-			if f.States()[i] != c.State() {
-				t.Fatalf("tick %d monitor %d: state %d, reference %d", tick, i, f.States()[i], c.State())
-			}
-			if f.Accepts(i) != c.Accepts() || f.Violations(i) != c.Violations() {
-				t.Fatalf("tick %d monitor %d: counter divergence", tick, i)
-			}
-		}
-	}
-	if f.Steps() != 4000 {
-		t.Fatalf("steps = %d", f.Steps())
-	}
-	if f.TableBytes() <= 0 {
-		t.Error("table size not reported")
-	}
-	f.Reset()
-	for i, m := range ms {
-		if f.States()[i] != m.Initial {
-			t.Error("reset did not restore initial product state")
-		}
-	}
-}
-
-func TestFusedTableRejects(t *testing.T) {
-	if _, err := NewFusedTable([]*Monitor{twoStep()}); err == nil {
-		t.Error("chk-testing monitor fused")
-	}
-	if _, err := NewFusedTable(nil); err == nil {
-		t.Error("empty set fused")
-	}
-	many := make([]*Monitor, maxFusedMonitors+1)
-	ms := fusedMonitors()
-	for i := range many {
-		many[i] = ms[0]
-	}
-	if _, err := NewFusedTable(many); err == nil {
-		t.Error("oversized set fused")
-	}
-}
-
-// TestEngineStepFired pins the contract StepFired relies on: for a
-// chk-free monitor with diagnostics off, resolving the fired index via
-// the Table and finishing through the engine matches Step exactly.
-func TestEngineStepFired(t *testing.T) {
-	ms := fusedMonitors()
-	for _, m := range ms {
-		tab, err := CompileTable(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewEngine(m, nil, ModeDetect)
-		ref := NewEngine(m, nil, ModeDetect)
-		mask := uint64(1)<<uint(tab.Width()) - 1
-		rng := xorshift(57)
-		for tick := 0; tick < 2000; tick++ {
-			v := rng.next() & mask
-			s := tab.Support().State(event.Valuation(v))
-			got := e.StepFired(tab.Fired(e.State(), v))
-			want := ref.Step(s)
-			if got.Outcome != want.Outcome || got.From != want.From || got.To != want.To ||
-				got.TransIndex != want.TransIndex || got.Tick != want.Tick {
-				t.Fatalf("%s tick %d: StepFired %+v, Step %+v", m.Name, tick, got, want)
-			}
-		}
-		if e.Stats() != ref.Stats() {
-			t.Fatalf("%s: stats diverged: %+v vs %+v", m.Name, e.Stats(), ref.Stats())
-		}
-	}
-}

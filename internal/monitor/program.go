@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/event"
@@ -191,6 +192,9 @@ type progBinding struct {
 	actions [][][]boundAction
 	// scratch is the engine-private pack buffer used by Step.
 	scratch event.Packed
+	// tab, when non-nil (see Engine.UseTable), resolves the fired
+	// transition with one lookup instead of scanning compiled guards.
+	tab *Table
 }
 
 // unpack expands a StepPacked input back to a map State for diagnostics.
@@ -270,3 +274,33 @@ func (p *Program) NewEngineVocab(sb *Scoreboard, mode Mode, v *event.Vocabulary)
 // Programmed reports whether the engine executes compiled guard
 // programs (true) or interprets guard ASTs (false).
 func (e *Engine) Programmed() bool { return e.b != nil }
+
+// UseTable makes a program-bound engine pick each step's fired
+// transition with one lookup in the shared table t — the packed word
+// or'd with the scoreboard's chk bits above it — instead of scanning the
+// state's compiled guards. Everything after the pick (actions, pending
+// reversal, classification, diagnostics, snapshots) stays the engine's,
+// so the table is a resolver, not a separate execution tier. t must be
+// compiled from the engine's own monitor, and the engine's packed input
+// must be in the table's support order: a plain Program.NewEngine, or a
+// NewEngineVocab whose vocabulary is exactly the support.
+func (e *Engine) UseTable(t *Table) error {
+	b := e.b
+	switch {
+	case b == nil:
+		return fmt.Errorf("monitor %q: UseTable on an engine without a compiled program", e.m.Name)
+	case t.m != e.m:
+		return fmt.Errorf("monitor %q: table compiled from monitor %q", e.m.Name, t.m.Name)
+	case !slices.Equal(t.sup.Symbols(), b.prog.sup.Symbols()) || !slices.Equal(t.chkEvents, b.prog.chkNames):
+		return fmt.Errorf("monitor %q: table slot order differs from the program's", e.m.Name)
+	case b.vocab != nil && b.vocab.Len() != t.sup.Len():
+		return fmt.Errorf("monitor %q: session vocabulary is wider than the table support", e.m.Name)
+	}
+	for i, j := range b.remap {
+		if int(j) != i {
+			return fmt.Errorf("monitor %q: session vocabulary order differs from the table support", e.m.Name)
+		}
+	}
+	b.tab = t
+	return nil
+}

@@ -59,8 +59,8 @@ func diagJSON(t *testing.T, diags []Diagnostic) string {
 // TestProvenanceIdenticalAcrossTiers is the conformance-style check the
 // observability plane promises: the interpreted engine, the compiled
 // guard-program engine (map input and vocabulary-packed input), and the
-// transition-table tier must emit byte-identical structured provenance
-// for the same violations.
+// table-bound engine must emit byte-identical structured provenance for
+// the same violations.
 func TestProvenanceIdenticalAcrossTiers(t *testing.T) {
 	m := provMonitor()
 	trace := provTrace()
@@ -102,14 +102,18 @@ func TestProvenanceIdenticalAcrossTiers(t *testing.T) {
 		packed.StepPacked(v.Pack(s))
 	}
 
-	// Tier 3: transition-table tier.
-	c, err := Compile(m)
+	// Tier 3: program engine resolving fired transitions via the table.
+	tab, err := CompileTable(m)
 	if err != nil {
-		t.Fatalf("Compile: %v", err)
+		t.Fatalf("CompileTable: %v", err)
 	}
-	c.EnableDiagnostics(depth)
+	table := p.NewEngine(nil, ModeDetect)
+	if err := table.UseTable(tab); err != nil {
+		t.Fatalf("UseTable: %v", err)
+	}
+	table.EnableDiagnostics(depth)
 	for _, s := range trace {
-		c.Step(s)
+		table.Step(s)
 	}
 
 	want := diagJSON(t, interp.Diagnostics())
@@ -120,7 +124,7 @@ func TestProvenanceIdenticalAcrossTiers(t *testing.T) {
 	for name, got := range map[string]string{
 		"program":        diagJSON(t, prog.Diagnostics()),
 		"program/packed": diagJSON(t, packed.Diagnostics()),
-		"table":          diagJSON(t, c.Diagnostics()),
+		"table":          diagJSON(t, table.Diagnostics()),
 	} {
 		if got != want {
 			t.Errorf("%s tier provenance diverged:\n got %s\nwant %s", name, got, want)

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"repro/internal/chart"
-	"repro/internal/event"
+	"repro/internal/faultinject"
 	"repro/internal/monitor"
 	"repro/internal/ocp"
 	"repro/internal/parser"
@@ -172,8 +172,8 @@ func TestLanePageoutRevivalParity(t *testing.T) {
 	tr := ocp.NewModel(ocp.Config{Gap: 2, Seed: 5, FaultRate: 0.1}).GenerateTrace(240)
 	sess := createSession(t, ts.URL, "detect", "LaneRead")
 	live, ok := s.session(sess.ID)
-	if !ok || live.laneTab == nil {
-		t.Fatalf("session not lane-eligible (laneTab nil); fast path preconditions regressed")
+	if !ok || !live.onTable {
+		t.Fatalf("session not lane-eligible (onTable false); fast path preconditions regressed")
 	}
 	streamTicks(t, ts.URL, sess.ID, tr[:120], 30)
 	doJSON(t, "POST", fmt.Sprintf("%s/sessions/%s/pageout", ts.URL, sess.ID), nil, http.StatusOK, nil)
@@ -197,84 +197,82 @@ func TestLanePageoutRevivalParity(t *testing.T) {
 	}
 }
 
-// TestLaneGroupWindow drives processWindow directly with a window of
-// packed batches for five lane-eligible sessions sharing one table, one
-// slow-path batch, and a second batch for the first session (which, by
-// the first-batch-only rule, must run on the scalar path after the
-// group). Every session must report verdicts identical to the reference
-// engine over its own full input, in order.
-func TestLaneGroupWindow(t *testing.T) {
-	s, ts := newLaneServer(t, Config{Shards: 1, QueueDepth: 64})
-	const lanes = 5
-	sessions := make([]*session, lanes)
-	traces := make([]trace.Trace, lanes)
-	window := make([]*batch, 0, lanes+2)
-	for i := 0; i < lanes; i++ {
-		info := createSession(t, ts.URL, "detect", "LaneRead")
-		live, ok := s.session(info.ID)
-		if !ok || live.laneTab == nil {
-			t.Fatalf("session %d not lane-eligible", i)
+// TestLaneTickCounter checks cescd_lane_group_ticks_total counts exactly
+// the ticks stepped via the shared table: one N-tick batch to a chk-free
+// single-spec session moves it by N (no drain window to land in), and a
+// batch to a chk-bearing session moves it by 0. Both sessions' verdicts
+// match the reference engine.
+func TestLaneTickCounter(t *testing.T) {
+	s, ts := newLaneServer(t, Config{Shards: 1, QueueDepth: 16})
+	cases := []struct {
+		spec    string
+		chart   chart.Chart
+		onTable bool
+	}{
+		{"LaneRead", laneChart(), true},
+		{"OcpSimpleRead", ocp.SimpleReadChart(), false},
+	}
+	for i, tc := range cases {
+		tr := ocp.NewModel(ocp.Config{Gap: 2, Seed: int64(i + 1), FaultRate: 0.1}).GenerateTrace(300)
+		info := createSession(t, ts.URL, "detect", tc.spec)
+		if live, ok := s.session(info.ID); !ok || live.onTable != tc.onTable {
+			t.Fatalf("%s: onTable = %v, want %v", tc.spec, ok && live.onTable, tc.onTable)
 		}
-		sessions[i] = live
-		traces[i] = ocp.NewModel(ocp.Config{Gap: 2, Seed: int64(i + 1), FaultRate: 0.1}).GenerateTrace(100)
-		window = append(window, packedBatch(t, live, traces[i]))
-	}
-	// A chk-carrying session rides the same window on the scalar path.
-	chkInfo := createSession(t, ts.URL, "detect", "OcpSimpleRead")
-	chkSess, _ := s.session(chkInfo.ID)
-	chkTrace := ocp.NewModel(ocp.Config{Gap: 2, Seed: 9}).GenerateTrace(80)
-	window = append(window, &batch{sess: chkSess, states: append(trace.Trace(nil), chkTrace...), enqueued: time.Now()})
-	// Second batch for session 0: must not join the group (ordering).
-	tail := ocp.NewModel(ocp.Config{Gap: 2, Seed: 99, FaultRate: 0.1}).GenerateTrace(60)
-	window = append(window, packedBatch(t, sessions[0], tail))
-
-	s.processWindow(s.shards[0], window)
-
-	if got := s.Metrics().LaneGroupTicks; got != uint64(lanes*100) {
-		t.Fatalf("lane_group_ticks = %d, want %d", got, lanes*100)
-	}
-	m, err := synth.Synthesize(laneChart(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < lanes; i++ {
-		input := traces[i]
-		if i == 0 {
-			input = append(append(trace.Trace(nil), traces[0]...), tail...)
+		before := s.Metrics().LaneGroupTicks
+		streamTicks(t, ts.URL, info.ID, tr, len(tr))
+		want := uint64(0)
+		if tc.onTable {
+			want = uint64(len(tr))
 		}
-		wantAccepts := verif.EngineAcceptTicks(monitor.NewEngine(m, nil, monitor.ModeDetect), input)
-		v := verdictFor(t, ts.URL, sessions[i].id, "LaneRead")
-		if v.Steps != len(input) || v.Accepts != len(wantAccepts) {
-			t.Fatalf("lane session %d: steps=%d accepts=%d, want %d/%d",
-				i, v.Steps, v.Accepts, len(input), len(wantAccepts))
+		if got := s.Metrics().LaneGroupTicks - before; got != want {
+			t.Fatalf("%s: lane_group_ticks moved by %d, want %d", tc.spec, got, want)
 		}
-		for j, tick := range v.AcceptTicks {
-			if tick != wantAccepts[j] {
-				t.Fatalf("lane session %d accept tick %d = %d, want %d", i, j, tick, wantAccepts[j])
-			}
+		m, err := synth.Synthesize(tc.chart, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	mo, err := synth.Synthesize(ocp.SimpleReadChart(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantChk := verif.EngineAcceptTicks(monitor.NewEngine(mo, nil, monitor.ModeDetect), chkTrace)
-	if v := verdictFor(t, ts.URL, chkInfo.ID, "OcpSimpleRead"); v.Accepts != len(wantChk) {
-		t.Fatalf("scalar session in mixed window: accepts=%d, want %d", v.Accepts, len(wantChk))
+		wantAccepts := verif.EngineAcceptTicks(monitor.NewEngine(m, nil, monitor.ModeDetect), tr)
+		v := verdictFor(t, ts.URL, info.ID, tc.spec)
+		if v.Steps != len(tr) || fmt.Sprint(v.AcceptTicks) != fmt.Sprint(wantAccepts) {
+			t.Fatalf("%s: steps=%d accept ticks %v, want %d/%v", tc.spec, v.Steps, v.AcceptTicks, len(tr), wantAccepts)
+		}
 	}
 }
 
-// packedBatch builds a fast-path batch for the session from the trace,
-// through the same decoder ingest uses.
-func packedBatch(t *testing.T, sess *session, tr trace.Trace) *batch {
-	t.Helper()
-	body := ndjson(t, tr)
-	pb := new(event.PackedBatch)
-	n, err := event.NewBatchDecoder(sess.vocab).Decode(body, pb, 1<<20)
-	if err != nil || n != len(tr) {
-		t.Fatalf("packing batch: n=%d err=%v", n, err)
+// TestLaneFaultPlaneParity: with a fault plane wired, a lane-eligible
+// session still steps on the table, and a panic injected mid-batch
+// quarantines it exactly as it quarantines a program-engine session of
+// the same spec (diagnostics armed keep that one off the table) fed the
+// same stream under an identically seeded plane.
+func TestLaneFaultPlaneParity(t *testing.T) {
+	tr := ocp.NewModel(ocp.Config{Gap: 2, Seed: 17, FaultRate: 0.1}).GenerateTrace(150)
+	verdict := func(diagDepth int) MonitorVerdictJSON {
+		faults := faultinject.New(1).Add(faultinject.Rule{
+			Point: "monitor.step.LaneRead", Kind: faultinject.KindPanic, After: 2, Count: 1,
+		})
+		s, ts := newLaneServer(t, Config{Shards: 1, QueueDepth: 16, Faults: faults})
+		info := createSessionDiag(t, ts.URL, "detect", diagDepth, "LaneRead")
+		live, ok := s.session(info.ID)
+		if !ok || live.onTable != (diagDepth == 0) {
+			t.Fatalf("diag_depth %d: session on table = %v", diagDepth, ok && live.onTable)
+		}
+		streamTicks(t, ts.URL, info.ID, tr, 30)
+		if lane := s.Metrics().LaneGroupTicks; (lane > 0) != live.onTable {
+			t.Fatalf("diag_depth %d: lane_group_ticks = %d", diagDepth, lane)
+		}
+		v := verdictFor(t, ts.URL, info.ID, "LaneRead")
+		v.Diagnostics = nil
+		return v
 	}
-	return &batch{sess: sess, packed: pb, raw: body, enqueued: time.Now()}
+	table, prog := verdict(0), verdict(4)
+	if !table.Quarantined || table.Steps < 60 || table.Steps >= 90 {
+		t.Fatalf("injected panic did not quarantine the table-stepped monitor in batch 3: %+v", table)
+	}
+	got, _ := json.Marshal(table)
+	want, _ := json.Marshal(prog)
+	if string(got) != string(want) {
+		t.Fatalf("table session diverged from program session:\n table %s\n prog  %s", got, want)
+	}
 }
 
 // TestLaneChurnStress churns lane membership under concurrent traffic:

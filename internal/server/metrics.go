@@ -17,7 +17,7 @@ type metrics struct {
 
 	ticksTotal      atomic.Uint64 // valuation ticks processed
 	batchesTotal    atomic.Uint64 // tick batches processed
-	laneGroupTicks  atomic.Uint64 // ticks stepped via bit-sliced lane groups
+	laneGroupTicks  atomic.Uint64 // ticks stepped via the shared transition table
 	rejectedTotal   atomic.Uint64 // 429 responses (shard queue full)
 	acceptsTotal    atomic.Uint64 // monitor acceptances across sessions
 	violationsTotal atomic.Uint64 // monitor violations across sessions

@@ -31,7 +31,7 @@ func (s *Server) promText() []byte {
 	gauge("cescd_uptime_seconds", "Daemon uptime.", snap.UptimeSec)
 	counter("cescd_ticks_total", "Valuation ticks processed.", float64(snap.TicksTotal))
 	counter("cescd_batches_total", "Tick batches processed.", float64(snap.BatchesTotal))
-	counter("cescd_lane_group_ticks_total", "Ticks stepped via bit-sliced lane groups.", float64(snap.LaneGroupTicks))
+	counter("cescd_lane_group_ticks_total", "Ticks stepped via the shared transition table.", float64(snap.LaneGroupTicks))
 	counter("cescd_rejected_total", "Ingest requests rejected with 429.", float64(snap.RejectedTotal))
 	counter("cescd_accepts_total", "Monitor acceptances across sessions.", float64(snap.AcceptsTotal))
 	counter("cescd_violations_total", "Monitor violations across sessions.", float64(snap.ViolationsTotal))

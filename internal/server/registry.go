@@ -22,9 +22,9 @@ type Spec struct {
 	Clock       string `json:"clock,omitempty"`
 	States      int    `json:"states,omitempty"`
 	Transitions int    `json:"transitions,omitempty"`
-	// TableBytes is the monitor.Compile table footprint, 0 when the
-	// combined support exceeds the compile limit (the interpreted engine
-	// still runs such monitors).
+	// TableBytes is the footprint of the spec's shared transition table,
+	// 0 when the combined support exceeds the table compile limit or the
+	// spec has no compiled form (its sessions then never use a table).
 	TableBytes int `json:"table_bytes,omitempty"`
 	// ProgramOps is the compiled guard-program instruction count; 0 when
 	// the program compiler rejected the monitor (sessions then fall back
@@ -71,16 +71,16 @@ func compileChart(name string, c chart.Chart) (sp *Spec, err error) {
 	sp.Clock = m.Clock
 	sp.States = m.States
 	sp.Transitions = m.NumTransitions()
-	// Exercise the table-driven fast path; monitors too wide to
-	// compile still run on the interpreted engine.
-	if cm, err := monitor.Compile(m); err == nil {
-		sp.TableBytes = cm.TableBytes()
-	}
 	// Compile the shared guard programs (the width-unlimited fast path
-	// sessions actually execute); failure degrades to interpretation.
+	// sessions actually execute); failure degrades to interpretation. The
+	// shared table is built here once and cached for the spec's
+	// lane-eligible sessions; monitors too wide for it keep the programs.
 	if cs, err := synth.NewCompiledSpec(m); err == nil {
 		sp.compiled = cs
 		sp.ProgramOps = cs.Program.Ops()
+		if tab, err := cs.Table(); err == nil {
+			sp.TableBytes = tab.TableBytes()
+		}
 	}
 	return sp, nil
 }

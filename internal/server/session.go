@@ -64,13 +64,11 @@ type session struct {
 	// batch decoder can pack request bodies straight into lanes without
 	// materializing event.State maps. Immutable after newSession.
 	fastPath bool
-	// laneTab, when non-nil, marks the session lane-steppable: a single
-	// chk-free monitor with diagnostics off whose table tier compiled and
-	// whose vocabulary order equals the table's support order, so the
-	// shard worker may resolve each tick's fired transition with one
-	// table lookup (Engine.StepFired) and step sessions sharing the same
-	// table in lockstep. Immutable after newSession.
-	laneTab *monitor.Table
+	// onTable marks a lane-eligible session: its single monitor's engine
+	// resolves fired transitions in the spec's shared transition table
+	// (Engine.UseTable) instead of scanning compiled guards. Immutable
+	// after newSession.
+	onTable bool
 	// appliedJSeq is the journal index of the last batch the shard worker
 	// has applied (guarded by mu). Snapshots record it so recovery knows
 	// which journal records are already folded in.
@@ -208,32 +206,16 @@ func newSession(id string, mode monitor.Mode, shard int, specs []*Spec, faults *
 			}
 		}
 	}
-	// Lane eligibility: one packed chk-free monitor, diagnostics off, and
-	// a vocabulary that is exactly the table's support in slot order (a
-	// single-spec vocabulary always is; the check guards the invariant).
-	// Chk guards and diagnostics both read state StepFired cannot see, so
-	// sessions carrying either stay on the per-tick engine path.
-	if s.fastPath && depth == 0 && len(s.mons) == 1 && len(specs) == 1 && specs[0].compiled != nil {
-		if tab, err := specs[0].compiled.Table(); err == nil && tab.ChkFree() && vocabIsSupport(s.vocab, tab.Support()) {
-			s.laneTab = tab
+	// Lane eligibility: one packed chk-free monitor with diagnostics off.
+	// Its engine then looks fired transitions up in the spec's shared
+	// table; UseTable refuses a vocabulary that is not exactly the table's
+	// support in slot order (a single-spec vocabulary always is).
+	if s.fastPath && depth == 0 && len(s.mons) == 1 && len(specs) == 1 {
+		if tab, err := specs[0].compiled.Table(); err == nil && tab.ChkFree() {
+			s.onTable = s.mons[0].eng.UseTable(tab) == nil
 		}
 	}
 	return s
-}
-
-// vocabIsSupport reports whether the vocabulary's slot order is exactly
-// the support's symbol order, which makes a batch-decoded word usable as
-// a table valuation index directly.
-func vocabIsSupport(v *event.Vocabulary, sup *event.Support) bool {
-	if v.Len() != sup.Len() {
-		return false
-	}
-	for i, sym := range sup.Symbols() {
-		if v.Symbol(i) != sym {
-			return false
-		}
-	}
-	return true
 }
 
 func (s *session) touch() { s.lastActive.Store(time.Now().UnixNano()) }
@@ -372,16 +354,6 @@ func (sm *sessionMonitor) safeStep(fire func() error, st event.State, in event.P
 		return sm.eng.StepPacked(in), nil
 	}
 	return sm.eng.Step(st), nil
-}
-
-// safeStepFired is the lane-group step: the fired transition is resolved
-// with one shared-table lookup and the engine consumes it via StepFired,
-// behind the same recover barrier as safeStep. Valid only for the
-// sessions laneTab marks (chk-free monitor, diagnostics off), where
-// StepFired is verdict- and provenance-identical to StepPacked.
-func (sm *sessionMonitor) safeStepFired(tab *monitor.Table, val uint64) (res monitor.StepResult, panicked any) {
-	defer func() { panicked = recover() }()
-	return sm.eng.StepFired(tab.Fired(sm.eng.State(), val)), nil
 }
 
 // modeString renders the session mode for JSON bodies.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/event"
-	"repro/internal/monitor"
 	"repro/internal/obs"
 )
 
@@ -96,85 +95,12 @@ func (s *Server) enqueueWait(b *batch) error {
 	}
 }
 
-// drainWindow bounds how many already-queued batches one worker pass
-// collects for lockstep grouping.
-const drainWindow = 16
-
 // runShard is the worker loop: it drains the queue until Close closes
 // it, which is what makes shutdown graceful — every accepted batch is
-// fully processed before Close returns. Each pass collects whatever is
-// already queued (up to drainWindow batches) so lane-steppable sessions
-// sharing one transition table can step in lockstep.
+// fully processed before Close returns.
 func (s *Server) runShard(sh *shard) {
 	defer s.wg.Done()
-	window := make([]*batch, 0, drainWindow)
 	for b := range sh.queue {
-		window = append(window[:0], b)
-	fill:
-		for len(window) < drainWindow {
-			select {
-			case nb, ok := <-sh.queue:
-				if !ok {
-					break fill
-				}
-				window = append(window, nb)
-			default:
-				break fill
-			}
-		}
-		s.processWindow(sh, window)
-	}
-}
-
-// laneGroupable reports whether a batch may join a lane group: a packed
-// fast-path batch of a lane-steppable session, with no fault plane or
-// tick-delay knob in play (both are per-tick semantics the fused loop
-// does not reproduce).
-func (s *Server) laneGroupable(b *batch) bool {
-	return b.sess.laneTab != nil && b.packed != nil &&
-		s.cfg.Faults == nil && s.cfg.TickDelay == 0
-}
-
-// processWindow applies one drained window. Batches of lane-steppable
-// sessions are grouped by shared transition table and stepped in
-// lockstep; everything else runs the per-batch scalar path in window
-// order. Only a session's first batch in the window may join a group
-// (groups run before the scalar remainder, which preserves per-session
-// batch order; cross-session order carries no meaning).
-func (s *Server) processWindow(sh *shard, window []*batch) {
-	if len(window) == 1 {
-		s.process(sh, window[0])
-		return
-	}
-	var (
-		order  []*monitor.Table
-		groups map[*monitor.Table][]*batch
-		rest   []*batch
-	)
-	seen := make(map[*session]bool, len(window))
-	for _, b := range window {
-		if s.laneGroupable(b) && !seen[b.sess] {
-			if groups == nil {
-				groups = make(map[*monitor.Table][]*batch)
-			}
-			tab := b.sess.laneTab
-			if _, ok := groups[tab]; !ok {
-				order = append(order, tab)
-			}
-			groups[tab] = append(groups[tab], b)
-		} else {
-			rest = append(rest, b)
-		}
-		seen[b.sess] = true
-	}
-	for _, tab := range order {
-		if g := groups[tab]; len(g) == 1 {
-			s.process(sh, g[0])
-		} else {
-			s.processLaneGroup(sh, tab, g)
-		}
-	}
-	for _, b := range rest {
 		s.process(sh, b)
 	}
 }
@@ -232,6 +158,9 @@ func (s *Server) process(sh *shard, b *batch) {
 	sess.mu.Unlock()
 	sh.ticks.Add(uint64(n))
 	s.metrics.ticksTotal.Add(uint64(n))
+	if sess.onTable {
+		s.metrics.laneGroupTicks.Add(uint64(n))
+	}
 	if n > 0 {
 		s.metrics.latency.observe(time.Since(b.enqueued))
 	}
@@ -265,118 +194,6 @@ func (s *Server) foldSpecDeltas(sess *session) {
 		if da > 0 || dv > 0 {
 			s.metrics.addSpecCounts(sm.spec, da, dv)
 			sm.reportedAccepts, sm.reportedViolations = uint64(st.Accepts), uint64(st.Violations)
-		}
-	}
-}
-
-// processLaneGroup steps a group of lane-steppable sessions sharing one
-// transition table in tick-major lockstep: at each tick index, every
-// member session resolves its fired transition with one lookup in the
-// shared table and advances via StepFired. The per-batch bookkeeping —
-// locks, verdict folds, metrics, spans — is identical to process; only
-// the stepping order is fused.
-func (s *Server) processLaneGroup(sh *shard, tab *monitor.Table, batches []*batch) {
-	if s.crashed.Load() {
-		for _, b := range batches {
-			if b.done != nil {
-				close(b.done)
-			}
-		}
-		return
-	}
-	dequeued := time.Now()
-	maxN, total := 0, 0
-	for _, b := range batches {
-		s.metrics.observeStage(obs.StageQueueWait, dequeued.Sub(b.enqueued))
-		b.sess.mu.Lock()
-		n := b.packed.Len()
-		total += n
-		if n > maxN {
-			maxN = n
-		}
-	}
-	var acc, vio, quar uint64
-	for t := 0; t < maxN; t++ {
-		for _, b := range batches {
-			if t >= b.packed.Len() {
-				continue
-			}
-			sm := b.sess.mons[0]
-			if sm.quarantined {
-				continue
-			}
-			res, panicked := sm.safeStepFired(tab, b.packed.Word(t, 0))
-			if panicked != nil {
-				sm.quarantined = true
-				sm.quarantineReason = fmt.Sprintf("panic at step %d: %v", sm.eng.Stats().Steps, panicked)
-				quar++
-				continue
-			}
-			sm.cov.Record(res)
-			switch res.Outcome {
-			case monitor.Accepted:
-				acc++
-				if len(sm.acceptTicks) < maxAcceptTicks {
-					sm.acceptTicks = append(sm.acceptTicks, res.Tick)
-				}
-			case monitor.Violated:
-				vio++
-			}
-		}
-	}
-	if acc > 0 {
-		s.metrics.acceptsTotal.Add(acc)
-	}
-	if vio > 0 {
-		s.metrics.violationsTotal.Add(vio)
-	}
-	if quar > 0 {
-		s.metrics.monitorsQuarantined.Add(quar)
-		_, _ = s.flight.Trip("quarantine", batches[0].trace,
-			fmt.Sprintf("lane group: %d monitors quarantined", quar))
-	}
-	stepDur := time.Since(dequeued)
-	// Lane-group attribution: every member's step span names the shared
-	// lane bank (the spec whose table the group stepped — all members
-	// share it by construction) and the member session count, so
-	// /debug/trace can explain why one session's tick latency covers the
-	// whole group's lockstep window.
-	laneNote := fmt.Sprintf("lane group: %d sessions, bank %s",
-		len(batches), batches[0].sess.mons[0].spec)
-	spans := make([]obs.Span, 0, 2*len(batches))
-	for _, b := range batches {
-		sess := b.sess
-		s.foldSpecDeltas(sess)
-		if b.jseq > 0 {
-			sess.appliedJSeq = b.jseq
-		}
-		sess.mu.Unlock()
-		n := b.packed.Len()
-		sh.ticks.Add(uint64(n))
-		s.metrics.ticksTotal.Add(uint64(n))
-		if n > 0 {
-			s.metrics.latency.observe(time.Since(b.enqueued))
-		}
-		spans = append(spans,
-			obs.Span{Trace: b.trace, Session: sess.id, Stage: obs.StageQueueWait,
-				Start: b.enqueued, Dur: dequeued.Sub(b.enqueued), Ticks: n},
-			obs.Span{Trace: b.trace, Session: sess.id, Stage: obs.StageStep,
-				Start: dequeued, Dur: stepDur, Ticks: n,
-				Kind: "lane", Note: laneNote})
-		sess.touch()
-		s.metrics.batchesTotal.Add(1)
-	}
-	s.metrics.laneGroupTicks.Add(uint64(total))
-	s.gov.observeStep(stepDur, total)
-	s.metrics.observeStage(obs.StageStep, stepDur)
-	s.tracer.RecordBatch(sh.idx, spans)
-	if s.watchdog.Observe(stepDur, total, batches[0].trace, batches[0].sess.id, sh.idx) {
-		_, _ = s.flight.Trip("slow_tick", batches[0].trace,
-			fmt.Sprintf("%s shard %d: %d ticks in %s", laneNote, sh.idx, total, stepDur))
-	}
-	for _, b := range batches {
-		if b.done != nil {
-			close(b.done)
 		}
 	}
 }

@@ -93,12 +93,10 @@ func randGuard(r *rand.Rand, sup []event.Symbol, chkPool []string, depth int) ex
 	}
 }
 
-// randTotalMonitor builds a random total monitor: every state ends with
-// a catch-all transition, so no input ever hard-resets the engine. (Hard
-// resets reverse pending Add_evt entries in the interpreted/program
-// engines but not in the table-driven Compiled — synthesized monitors
-// are total, so the differential test constrains itself to that class.)
-func randTotalMonitor(r *rand.Rand, sup []event.Symbol, chkPool []string) *monitor.Monitor {
+// randMonitor builds a random monitor over the support and scoreboard
+// pool. A total one ends every state with a catch-all transition, so no
+// input ever hard-resets it; a partial one may leave inputs uncovered.
+func randMonitor(r *rand.Rand, sup []event.Symbol, chkPool []string, total bool) *monitor.Monitor {
 	states := 3 + r.Intn(3)
 	m := monitor.New("fuzz", "clk", states)
 	randActions := func() []monitor.Action {
@@ -122,23 +120,27 @@ func randTotalMonitor(r *rand.Rand, sup []event.Symbol, chkPool []string) *monit
 				Actions: randActions(),
 			})
 		}
-		m.AddTransition(s, monitor.Transition{
-			To:      r.Intn(states),
-			Guard:   expr.True,
-			Actions: randActions(),
-		})
+		if total {
+			m.AddTransition(s, monitor.Transition{
+				To:      r.Intn(states),
+				Guard:   expr.True,
+				Actions: randActions(),
+			})
+		}
 	}
 	return m
 }
 
-// TestDifferentialEngines cross-checks four independent implementations
-// of the paper's transition relation Tr over random total monitors and
-// random tick streams: the interpreted AST engine, the compiled
-// guard-program engine (both the map-input Step and the
-// vocabulary-packed StepPacked path, the latter exercising slot
-// remapping), and the table-driven Compiled. Verdicts, automaton
-// states, accept counts, and scoreboard contents must agree tick for
-// tick.
+// TestDifferentialEngines cross-checks independent implementations of
+// the paper's transition relation Tr over random monitors and random
+// tick streams: the interpreted AST engine, the compiled guard-program
+// engine (both the map-input Step and the vocabulary-packed StepPacked
+// path, the latter exercising slot remapping), the table-bound program
+// engine, and — on total monitors only — the table-driven Compiled
+// cursor. Compiled does not reverse pending Add_evt entries on a hard
+// reset, so partial monitors, which hard-reset, leave it out; the
+// table-bound engine must agree on both. Verdicts, automaton states,
+// accept counts, and scoreboard contents must agree tick for tick.
 func TestDifferentialEngines(t *testing.T) {
 	supSyms := []event.Symbol{
 		{Name: "a", Kind: event.KindEvent},
@@ -148,15 +150,20 @@ func TestDifferentialEngines(t *testing.T) {
 	}
 	chkPool := []string{"x", "y"}
 	r := rand.New(rand.NewSource(42))
-	for iter := 0; iter < 150; iter++ {
-		m := randTotalMonitor(r, supSyms, chkPool)
+	for iter := 0; iter < 300; iter++ {
+		total := iter%2 == 0
+		m := randMonitor(r, supSyms, chkPool, total)
 		prog, err := monitor.CompileProgram(m)
 		if err != nil {
 			t.Fatalf("iter %d: CompileProgram: %v", iter, err)
 		}
-		table, err := monitor.Compile(m)
+		tab, err := monitor.CompileTable(m)
 		if err != nil {
-			t.Fatalf("iter %d: Compile: %v", iter, err)
+			t.Fatalf("iter %d: CompileTable: %v", iter, err)
+		}
+		var cursor *monitor.Compiled
+		if total {
+			cursor = tab.NewInstance()
 		}
 		// Vocabulary with padding symbols declared first, so the packed
 		// slot space differs from the support's and remapping is real.
@@ -173,6 +180,11 @@ func TestDifferentialEngines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: NewEngineVocab: %v", iter, err)
 		}
+		ptable := prog.NewEngine(nil, monitor.ModeDetect)
+		if err := ptable.UseTable(tab); err != nil {
+			t.Fatalf("iter %d: UseTable: %v", iter, err)
+		}
+		engines := map[string]*monitor.Engine{"prog": pmap, "packed": ppacked, "table-engine": ptable}
 
 		var buf event.Packed
 		for tick := 0; tick < 120; tick++ {
@@ -188,41 +200,48 @@ func TestDifferentialEngines(t *testing.T) {
 				}
 			}
 			ra := ast.Step(s)
-			rm := pmap.Step(s)
 			buf = vocab.PackInto(s, buf)
-			rp := ppacked.StepPacked(buf)
-			tb := table.Step(s)
-
-			if ra.Outcome != rm.Outcome || ra.Outcome != rp.Outcome ||
-				ra.To != rm.To || ra.To != rp.To ||
-				ra.TransIndex != rm.TransIndex || ra.TransIndex != rp.TransIndex {
-				t.Fatalf("iter %d tick %d: step diverged on %s:\n ast=%+v\n prog=%+v\n packed=%+v\nmonitor:\n%s",
-					iter, tick, s, ra, rm, rp, m)
+			got := map[string]monitor.StepResult{
+				"prog":         pmap.Step(s),
+				"packed":       ppacked.StepPacked(buf),
+				"table-engine": ptable.Step(s),
 			}
-			if tb != (ra.Outcome == monitor.Accepted) {
-				t.Fatalf("iter %d tick %d: table accept=%v, ast outcome=%v on %s\nmonitor:\n%s",
-					iter, tick, tb, ra.Outcome, s, m)
+			for name, rb := range got {
+				if rb != ra {
+					t.Fatalf("iter %d tick %d: %s step diverged on %s:\n ast=%+v\n %s=%+v\nmonitor:\n%s",
+						iter, tick, name, s, ra, name, rb, m)
+				}
 			}
-			if table.State() != ast.State() {
-				t.Fatalf("iter %d tick %d: table state=%d, ast state=%d", iter, tick, table.State(), ast.State())
+			if cursor != nil {
+				if tb := cursor.Step(s); tb != (ra.Outcome == monitor.Accepted) {
+					t.Fatalf("iter %d tick %d: compiled accept=%v, ast outcome=%v on %s\nmonitor:\n%s",
+						iter, tick, tb, ra.Outcome, s, m)
+				}
+				if cursor.State() != ast.State() {
+					t.Fatalf("iter %d tick %d: compiled state=%d, ast state=%d", iter, tick, cursor.State(), ast.State())
+				}
 			}
 			for _, e := range chkPool {
 				na := ast.Scoreboard().Count(e)
-				if nm := pmap.Scoreboard().Count(e); nm != na {
-					t.Fatalf("iter %d tick %d: scoreboard[%s] ast=%d prog=%d", iter, tick, e, na, nm)
+				for name, eng := range engines {
+					if n := eng.Scoreboard().Count(e); n != na {
+						t.Fatalf("iter %d tick %d: scoreboard[%s] ast=%d %s=%d", iter, tick, e, na, name, n)
+					}
 				}
-				if np := ppacked.Scoreboard().Count(e); np != na {
-					t.Fatalf("iter %d tick %d: scoreboard[%s] ast=%d packed=%d", iter, tick, e, na, np)
-				}
-				if nt := table.Count(e); nt != na {
-					t.Fatalf("iter %d tick %d: scoreboard[%s] ast=%d table=%d", iter, tick, e, na, nt)
+				if cursor != nil {
+					if nt := cursor.Count(e); nt != na {
+						t.Fatalf("iter %d tick %d: scoreboard[%s] ast=%d compiled=%d", iter, tick, e, na, nt)
+					}
 				}
 			}
 		}
-		if ast.Stats().Accepts != table.Accepts() || ast.Stats().Accepts != pmap.Stats().Accepts ||
-			ast.Stats().Accepts != ppacked.Stats().Accepts {
-			t.Fatalf("iter %d: accept totals diverged: ast=%d prog=%d packed=%d table=%d",
-				iter, ast.Stats().Accepts, pmap.Stats().Accepts, ppacked.Stats().Accepts, table.Accepts())
+		for name, eng := range engines {
+			if eng.Stats() != ast.Stats() {
+				t.Fatalf("iter %d: %s stats %+v, ast %+v", iter, name, eng.Stats(), ast.Stats())
+			}
+		}
+		if cursor != nil && cursor.Accepts() != ast.Stats().Accepts {
+			t.Fatalf("iter %d: accept totals diverged: ast=%d compiled=%d", iter, ast.Stats().Accepts, cursor.Accepts())
 		}
 	}
 }

@@ -51,7 +51,7 @@ func TestDetectorTiers(t *testing.T) {
 	}
 
 	wide := wideMonitor(24)
-	if _, err := monitor.Compile(wide); err == nil {
+	if _, err := monitor.CompileTable(wide); err == nil {
 		t.Fatal("24-bit support unexpectedly fit the table compiler")
 	}
 	d, err = NewDetector(wide)
@@ -111,5 +111,41 @@ func TestDetectorWideParity(t *testing.T) {
 	}
 	if d.Accepts() != ref.Stats().Accepts {
 		t.Errorf("accepts: detector=%d reference=%d", d.Accepts(), ref.Stats().Accepts)
+	}
+}
+
+// TestDetectorHardResetParity is the regression for the table tier's
+// hard reset: a match abandoned on an uncovered input must undo its
+// Add_evt (the paper's Tr), so a later Chk_evt guard cannot see it. The
+// monitor records x on a, abandons on an empty tick (state 1 covers only
+// b), then offers Chk_evt(x) & c — which must not fire.
+func TestDetectorHardResetParity(t *testing.T) {
+	m := monitor.New("hard-reset", "clk", 3)
+	m.AddTransition(0, monitor.Transition{To: 1, Guard: expr.Ev("a"), Actions: []monitor.Action{monitor.Add("x")}})
+	m.AddTransition(0, monitor.Transition{To: 2, Guard: expr.And(expr.Chk("x"), expr.Ev("c"))})
+	m.AddTransition(0, monitor.Transition{To: 0, Guard: expr.True})
+	m.AddTransition(1, monitor.Transition{To: 2, Guard: expr.Ev("b")})
+	m.AddTransition(2, monitor.Transition{To: 0, Guard: expr.True})
+
+	d, err := NewDetector(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Tier() != TierTable {
+		t.Fatalf("tier = %v, want table", d.Tier())
+	}
+	ref := monitor.NewEngine(m, nil, monitor.ModeDetect)
+	tr := []event.State{event.NewState(), event.NewState(), event.NewState()}
+	tr[0].Events["a"] = true
+	tr[2].Events["c"] = true
+	for tick, s := range tr {
+		got := d.StepDetect(s)
+		want := ref.Step(s).Outcome == monitor.Accepted
+		if got != want {
+			t.Fatalf("tier %v tick %d: detector %v, reference %v", d.Tier(), tick, got, want)
+		}
+	}
+	if d.Accepts() != ref.Stats().Accepts {
+		t.Fatalf("accepts: detector %d, reference %d", d.Accepts(), ref.Stats().Accepts)
 	}
 }
