@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check crashtest fuzz conformance bench bench-json obs-bench perfgate lanebench minetest minebench soaktest clustertest clean
+.PHONY: all build vet test race check crashtest fuzz conformance bench bench-json obs-bench perfgate lanebench minetest minebench soaktest clustertest loadtest clean
 
 all: check
 
@@ -33,6 +33,7 @@ check:
 	$(MAKE) conformance
 	$(MAKE) clustertest
 	$(MAKE) minetest
+	$(MAKE) loadtest
 	$(MAKE) fuzz
 
 # Whole-stack differential fuzzing: random charts + adversarial traces
@@ -141,6 +142,15 @@ soaktest:
 clustertest:
 	$(GO) test -race ./internal/cluster/ ./internal/client/
 	$(GO) test -run TestClusterSmoke -v ./cmd/cescd/
+
+# End-to-end benchmark build check: cmd/cescload is its own module
+# (reaching internal/ through a replace directive), so the root
+# `go build ./...` and `go test ./...` skip it. Vetting it and running its
+# short tests compiles it against the current internal packages, which
+# catches API changes that would break the benchmark. The benchmark
+# itself runs with `bash cmd/cescload/bench.sh`.
+loadtest:
+	cd cmd/cescload && $(GO) vet . && $(GO) test -short .
 
 clean:
 	$(GO) clean ./...

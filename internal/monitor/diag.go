@@ -75,16 +75,48 @@ func (d Diagnostic) String() string {
 // recent maxDiagnostics violations, and counters keep counting past it.
 const maxDiagnostics = 32
 
-// diagState is the engine's diagnostic machinery.
+// diagState is the engine's diagnostic machinery: a ring of the last
+// depth inputs plus the retained reports. Map-fed steps (Step) keep a
+// clone of each input in ring; packed steps (StepPacked) copy the input
+// words into the preallocated words ring instead, so a non-violating
+// tick costs one word copy and no allocation. Packed slots are unpacked
+// through the engine's binding only when a violation quotes them (or a
+// snapshot serializes them).
 type diagState struct {
-	depth   int
-	ring    []event.State
-	next    int
-	filled  bool
+	depth  int
+	ring   []event.State
+	next   int
+	filled bool
+	// words holds packed inputs, stride words per ring slot (nil on
+	// interpreted engines, which never step packed); isPacked[i] marks
+	// slot i as living in words rather than ring.
+	words    []uint64
+	stride   int
+	isPacked []bool
+	// b unpacks packed slots (the engine's program binding).
+	b       *progBinding
 	reports []Diagnostic
 	// sup packs offending inputs for Diagnostic.Valuation (nil when the
 	// monitor's support is unavailable).
 	sup *event.Support
+}
+
+// newDiagState builds an empty ring of the given depth for e, bound to
+// the support and (on program engines) the packed-input width e uses.
+func newDiagState(e *Engine, depth int) *diagState {
+	d := &diagState{depth: depth, ring: make([]event.State, depth), isPacked: make([]bool, depth)}
+	if b := e.b; b != nil {
+		d.sup, d.b = b.prog.sup, b
+		width := b.prog.sup.Len()
+		if b.vocab != nil {
+			width = b.vocab.Len()
+		}
+		d.stride = event.PackedWords(width)
+		d.words = make([]uint64, depth*d.stride)
+	} else if sup, err := e.m.Support(); err == nil {
+		d.sup = sup
+	}
+	return d
 }
 
 // EnableDiagnostics makes the engine retain the last `depth` inputs and
@@ -95,12 +127,7 @@ func (e *Engine) EnableDiagnostics(depth int) {
 		e.diag = nil
 		return
 	}
-	e.diag = &diagState{depth: depth, ring: make([]event.State, depth)}
-	if e.b != nil {
-		e.diag.sup = e.b.prog.sup
-	} else if sup, err := e.m.Support(); err == nil {
-		e.diag.sup = sup
-	}
+	e.diag = newDiagState(e, depth)
 }
 
 // Diagnostics returns the recorded violation reports (nil when
@@ -112,13 +139,55 @@ func (e *Engine) Diagnostics() []Diagnostic {
 	return e.diag.reports
 }
 
-// observe records an input before it is consumed.
+// observe records a map input before it is consumed.
 func (d *diagState) observe(s event.State) {
 	d.ring[d.next] = s.Clone()
+	d.isPacked[d.next] = false
+	d.advance()
+}
+
+// observePacked records a packed input before it is consumed: the words
+// are copied into the slot (inputs narrower than the stride read as
+// false above their width), allocation-free.
+func (d *diagState) observePacked(in event.Packed) {
+	w := d.words[d.next*d.stride : (d.next+1)*d.stride]
+	clear(w[copy(w, in):])
+	d.ring[d.next] = event.State{}
+	d.isPacked[d.next] = true
+	d.advance()
+}
+
+func (d *diagState) advance() {
 	d.next = (d.next + 1) % d.depth
 	if d.next == 0 {
 		d.filled = true
 	}
+}
+
+// state returns ring slot i as a State, unpacking a packed slot afresh.
+func (d *diagState) state(i int) event.State {
+	if d.isPacked[i] {
+		return d.b.unpack(d.words[i*d.stride : (i+1)*d.stride])
+	}
+	return d.ring[i]
+}
+
+// slot is state for violation reports: a packed slot is unpacked once
+// and kept as a map slot, so the consecutive violations of a faulty
+// stretch share its State instead of unpacking it again for each recent
+// window. Stored States are never mutated, only replaced.
+func (d *diagState) slot(i int) event.State {
+	if d.isPacked[i] {
+		d.ring[i] = d.state(i)
+		d.isPacked[i] = false
+	}
+	return d.ring[i]
+}
+
+// current returns the input just observed: the offending one when a
+// violation is being recorded.
+func (d *diagState) current() event.State {
+	return d.slot((d.next - 1 + d.depth) % d.depth)
 }
 
 // recent returns the inputs before the one just observed, oldest first.
@@ -131,7 +200,7 @@ func (d *diagState) recent() []event.State {
 	// Exclude the most recent entry (the offending input itself).
 	for i := n - 1; i >= 1; i-- {
 		idx := (d.next - 1 - i + 2*d.depth) % d.depth
-		out = append(out, d.ring[idx])
+		out = append(out, d.slot(idx))
 	}
 	return out
 }
@@ -148,20 +217,23 @@ func (d *diagState) push(rep Diagnostic) {
 }
 
 // recordViolation captures a diagnostic if armed. Provenance is rendered
-// from whichever tier executed the step: program-bound engines decompile
-// the fired compiled guard back to source form, interpreted engines
-// render the guard AST directly — identical strings by construction.
-func (e *Engine) recordViolation(res StepResult, input event.State) {
+// from whichever tier executed the step: program-bound engines quote the
+// fired guard decompiled from the compiled program (once per guard, see
+// Program.GuardString), interpreted engines render the guard AST
+// directly — identical strings by construction. The offending input is
+// the ring's newest slot; a packed one is unpacked only here.
+func (e *Engine) recordViolation(res StepResult) {
 	if e.diag == nil {
 		return
 	}
+	input := e.diag.current()
 	rep := Diagnostic{
 		Monitor:    e.m.Name,
 		Tick:       res.Tick,
 		FromState:  res.From,
 		GridLine:   gridLine(e.m, res.From),
 		Guards:     e.guardStrings(res.From),
-		Input:      input.Clone(),
+		Input:      input,
 		Recent:     e.diag.recent(),
 		Scoreboard: e.sb.Live(),
 	}
@@ -188,6 +260,9 @@ func (e *Engine) guardString(s, idx int) string {
 func (e *Engine) guardStrings(s int) []string {
 	if s < 0 || s >= len(e.m.Trans) || len(e.m.Trans[s]) == 0 {
 		return nil
+	}
+	if e.b != nil {
+		return append([]string(nil), e.b.prog.guardTexts()[s]...)
 	}
 	out := make([]string, len(e.m.Trans[s]))
 	for i := range e.m.Trans[s] {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/event"
 	"repro/internal/expr"
 )
 
@@ -136,5 +137,43 @@ func TestDiagnosticsRingWrap(t *testing.T) {
 	}
 	if !diags[0].Recent[0].Event("a") {
 		t.Errorf("recent entry = %v, want the anchor", diags[0].Recent[0])
+	}
+}
+
+// TestRestoredRingQuotedVerbatim: a snapshot's ring entries are restored
+// as the map states they were written as, so a violation right after the
+// restore quotes them unprojected — including symbols outside the
+// engine's vocabulary — even though the restored engine steps packed.
+func TestRestoredRingQuotedVerbatim(t *testing.T) {
+	p, err := CompileProgram(provMonitor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := event.NewVocabulary()
+	if err := v.DeclareSupport(p.Support()); err != nil {
+		t.Fatal(err)
+	}
+	newEng := func() *Engine {
+		e, err := p.NewEngineVocab(nil, ModeDetect, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.EnableDiagnostics(3)
+		return e
+	}
+	ref := newEng()
+	ref.Step(st("a", "noise")) // 0 -> 1, quoting a symbol v lacks
+	restored := newEng()
+	if err := restored.Restore(ref.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	ref.Step(st()) // !b: violation
+	restored.StepPacked(v.Pack(st()))
+	got, want := restored.Diagnostics(), ref.Diagnostics()
+	if len(want) != 1 || len(want[0].Recent) != 1 || !want[0].Recent[0].Event("noise") {
+		t.Fatalf("reference diagnostics = %+v", want)
+	}
+	if g, w := diagJSON(t, got), diagJSON(t, want); g != w {
+		t.Errorf("restored-ring diagnostics\n got %s\nwant %s", g, w)
 	}
 }

@@ -163,24 +163,23 @@ func (e *Engine) Step(s event.State) StepResult {
 	} else {
 		fired = e.firedAST(s)
 	}
-	return e.finish(fired, s)
+	return e.finish(fired)
 }
 
 // StepPacked consumes one packed input element; the engine must have
 // been built from a Program. Input packed with the program's support
 // uses support slot order (NewEngine); input packed with a session
 // vocabulary (NewEngineVocab) is translated through the binding's remap.
-// When diagnostics are armed the input is unpacked once for the ring.
+// When diagnostics are armed the input words are copied into the
+// diagnostics ring; they are unpacked only if a violation quotes them.
 func (e *Engine) StepPacked(in event.Packed) StepResult {
 	if e.b == nil {
 		panic("monitor: StepPacked on an engine without a compiled program")
 	}
-	var s event.State
 	if e.diag != nil {
-		s = e.b.unpack(in)
-		e.diag.observe(s)
+		e.diag.observePacked(in)
 	}
-	return e.finish(e.firedPacked(in, e.b.remap), s)
+	return e.finish(e.firedPacked(in, e.b.remap))
 }
 
 // firedAST scans the current state's transitions interpreting guard
@@ -220,9 +219,9 @@ func (e *Engine) firedPacked(in event.Packed, remap []int32) int {
 }
 
 // finish applies the fired transition (index into Trans[state], -1 for
-// none) and classifies the move. s is only consulted for violation
-// diagnostics and may be the zero State when diagnostics are off.
-func (e *Engine) finish(firedIdx int, s event.State) StepResult {
+// none) and classifies the move. A violation's diagnostics quote the
+// step's input from the diagnostics ring, where Step/StepPacked put it.
+func (e *Engine) finish(firedIdx int) StepResult {
 	res := StepResult{From: e.state, TransIndex: firedIdx, Tick: e.tick}
 	e.tick++
 	e.stats.Steps++
@@ -235,7 +234,7 @@ func (e *Engine) finish(firedIdx int, s event.State) StepResult {
 		if progressed && e.mode == ModeAssert {
 			e.stats.Violations++
 			res.Outcome = Violated
-			e.recordViolation(res, s)
+			e.recordViolation(res)
 		} else {
 			res.Outcome = Stayed
 		}
@@ -251,17 +250,17 @@ func (e *Engine) finish(firedIdx int, s event.State) StepResult {
 		e.stats.Violations++
 		res.Outcome = Violated
 		// Violation sink behaves like a reset for pending bookkeeping.
-		e.pending = nil
+		e.pending = e.pending[:0]
 		e.state = e.m.Initial
 		res.To = e.m.Initial
 	case e.m.IsFinal(fired.To):
 		e.stats.Accepts++
 		e.stats.LastAcceptTick = res.Tick
 		res.Outcome = Accepted
-		e.pending = nil
+		e.pending = e.pending[:0]
 	case fired.To == e.m.Initial && from != e.m.Initial:
 		e.stats.Fallbacks++
-		e.pending = nil
+		e.pending = e.pending[:0]
 		// Abandoning from a final state is a benign reset — the scenario
 		// completed; only abandoning in-progress matches violates.
 		if e.mode == ModeAssert && !e.m.IsFinal(from) {
@@ -285,7 +284,7 @@ func (e *Engine) finish(firedIdx int, s event.State) StepResult {
 		res.Outcome = Advanced
 	}
 	if res.Outcome == Violated {
-		e.recordViolation(res, s)
+		e.recordViolation(res)
 	}
 	return res
 }
@@ -338,7 +337,7 @@ func (e *Engine) unpend(events []string) {
 func (e *Engine) reversePending() {
 	if len(e.pending) > 0 {
 		e.sb.Del(e.pending...)
-		e.pending = nil
+		e.pending = e.pending[:0]
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/event"
 	"repro/internal/expr"
@@ -33,6 +34,10 @@ type Program struct {
 	// chkByState[s] reports whether any guard of state s samples the
 	// scoreboard; states that don't skip the ChkBits lock entirely.
 	chkByState []bool
+	// guardText[s][i] renders guards[s][i] in source syntax, decompiled
+	// once on first use (violation provenance quotes it on every report).
+	guardOnce sync.Once
+	guardText [][]string
 }
 
 // maxChkBits caps the scoreboard events one monitor's guards may test:
@@ -137,18 +142,36 @@ func (n progNamer) ChkName(idx int) string {
 // an AST (exact, because compilation preserves n-ary arity) and rendered
 // with the standard expression syntax. The result equals the source
 // guard's String() by construction, which is what lets every execution
-// tier report identical provenance.
+// tier report identical provenance. Each guard is decompiled once per
+// Program; later calls return the kept string.
 func (p *Program) GuardString(state, idx int) string {
 	if state < 0 || state >= len(p.guards) || idx < 0 || idx >= len(p.guards[state]) {
 		return ""
 	}
-	e, err := p.guards[state][idx].Decompile(progNamer{p})
-	if err != nil {
-		// Unreachable for programs this package compiled; keep provenance
-		// usable anyway.
-		return p.m.Trans[state][idx].Guard.String()
-	}
-	return e.String()
+	return p.guardTexts()[state][idx]
+}
+
+// guardTexts returns every guard's source rendering, indexed like
+// guards, decompiling them on first use. The result is shared and must
+// not be modified.
+func (p *Program) guardTexts() [][]string {
+	p.guardOnce.Do(func() {
+		p.guardText = make([][]string, len(p.guards))
+		for s, gs := range p.guards {
+			p.guardText[s] = make([]string, len(gs))
+			for i, g := range gs {
+				e, err := g.Decompile(progNamer{p})
+				if err != nil {
+					// Unreachable for programs this package compiled;
+					// keep provenance usable anyway.
+					p.guardText[s][i] = p.m.Trans[s][i].Guard.String()
+					continue
+				}
+				p.guardText[s][i] = e.String()
+			}
+		}
+	})
+	return p.guardText
 }
 
 // Ops returns the total compiled instruction count (sizing diagnostics;

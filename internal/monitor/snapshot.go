@@ -50,8 +50,8 @@ func (e *Engine) Snapshot() EngineSnapshot {
 			Next:   e.diag.next,
 			Filled: e.diag.filled,
 		}
-		for i, s := range e.diag.ring {
-			d.Ring[i] = cloneMaybe(s)
+		for i := range e.diag.ring {
+			d.Ring[i] = cloneMaybe(e.diag.state(i))
 		}
 		for _, r := range e.diag.reports {
 			d.Reports = append(d.Reports, cloneDiagnostic(r))
@@ -85,14 +85,11 @@ func (e *Engine) Restore(snap EngineSnapshot) error {
 		return fmt.Errorf("monitor: snapshot diagnostics malformed (depth %d, ring %d, next %d)",
 			d.Depth, len(d.Ring), d.Next)
 	}
-	ds := &diagState{depth: d.Depth, ring: make([]event.State, d.Depth), next: d.Next, filled: d.Filled}
-	// Rebind the support used for Valuation provenance, exactly as
-	// EnableDiagnostics would.
-	if e.b != nil {
-		ds.sup = e.b.prog.sup
-	} else if sup, err := e.m.Support(); err == nil {
-		ds.sup = sup
-	}
+	// Rebuild the ring exactly as EnableDiagnostics would, then fill it
+	// with the snapshot's map entries: restored inputs stay verbatim until
+	// later steps overwrite their slots.
+	ds := newDiagState(e, d.Depth)
+	ds.next, ds.filled = d.Next, d.Filled
 	for i, s := range d.Ring {
 		ds.ring[i] = cloneMaybe(s)
 	}

@@ -383,3 +383,77 @@ func TestJournalBudgetPruning(t *testing.T) {
 		t.Fatalf("journal dirs after pruning = %v, want only %s", ids, hot.ID)
 	}
 }
+
+// kindClashSrc declares busy as a proposition in one spec and as an
+// event in the other, so no session vocabulary can hold both: a session
+// over the pair falls back to one event.State per tick.
+const kindClashSrc = `
+cesc BusyProp {
+  prop busy;
+  scesc on clk {
+    instances A, B;
+    tick { e1 = busy: go @ A -> B; }
+    tick { done @ B -> A; }
+  }
+}
+cesc BusyEvent {
+  scesc on clk {
+    instances A, B;
+    tick { busy @ A -> B; }
+    tick { done @ B -> A; }
+  }
+}
+`
+
+// TestSessionPathReporting checks the path field of GET /sessions/{id}
+// and GET /sessions: assert sessions and sessions with diag_depth run
+// packed, a chk-free single-spec detect session runs on the table, and
+// only a vocabulary kind clash leaves a session on the map path.
+func TestSessionPathReporting(t *testing.T) {
+	s, ts := newLaneServer(t, Config{Shards: 1})
+	if _, err := s.LoadSpecSource(kindClashSrc); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		mode  string
+		diag  int
+		specs []string
+		want  string
+	}{
+		{"detect", 0, []string{"LaneRead"}, "table"},
+		{"detect", 4, []string{"LaneRead"}, "packed"},
+		{"assert", 0, []string{"LaneRead"}, "packed"},
+		{"assert", 0, []string{"OcpSimpleRead"}, "packed"},
+		{"assert", 0, []string{"OcpSimpleRead", "LaneRead"}, "packed"},
+		{"detect", 0, []string{"OcpSimpleRead"}, "packed"},
+		{"assert", 0, []string{"BusyProp", "BusyEvent"}, "map"},
+	}
+	want := map[string]string{}
+	tr := ocp.NewModel(ocp.Config{Gap: 2, Seed: 3, FaultRate: 0.2}).GenerateTrace(64)
+	for _, tc := range cases {
+		info := createSessionDiag(t, ts.URL, tc.mode, tc.diag, tc.specs...)
+		if info.Path != tc.want {
+			t.Errorf("%s session (diag %d) on %v: create reports path %q, want %q",
+				tc.mode, tc.diag, tc.specs, info.Path, tc.want)
+		}
+		streamTicks(t, ts.URL, info.ID, tr, 32)
+		var got SessionInfoJSON
+		doJSON(t, "GET", ts.URL+"/sessions/"+info.ID, nil, http.StatusOK, &got)
+		if got.Path != tc.want || got.Steps != len(tr) {
+			t.Errorf("GET /sessions/%s: path %q steps %d, want %q and %d", info.ID, got.Path, got.Steps, tc.want, len(tr))
+		}
+		want[info.ID] = tc.want
+	}
+	var list struct {
+		Sessions []SessionInfoJSON `json:"sessions"`
+	}
+	doJSON(t, "GET", ts.URL+"/sessions", nil, http.StatusOK, &list)
+	if len(list.Sessions) != len(cases) {
+		t.Fatalf("GET /sessions listed %d sessions, want %d", len(list.Sessions), len(cases))
+	}
+	for _, info := range list.Sessions {
+		if info.Path != want[info.ID] {
+			t.Errorf("GET /sessions: %s path %q, want %q", info.ID, info.Path, want[info.ID])
+		}
+	}
+}

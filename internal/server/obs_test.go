@@ -11,11 +11,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/amba"
+	"repro/internal/chart"
 	"repro/internal/event"
 	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/ocp"
+	"repro/internal/parser"
 	"repro/internal/synth"
+	"repro/internal/trace"
 )
 
 // createSessionDiag creates a session with an explicit diagnostics ring
@@ -84,51 +88,36 @@ func TestPromExposition(t *testing.T) {
 	}
 }
 
-// TestDiagnosticsEndpointDifferential checks that the provenance served
-// by GET /sessions/{id}/diagnostics — produced by the map-fed compiled
-// program engine backing assert sessions — is byte-identical JSON to
-// what the interpreted AST engine and the vocabulary-packed program
-// engine emit for the same trace. (The lookup-table tier's differential
-// lives in internal/monitor/provenance_test.go: tables implement detect
-// semantics, so partial monitors like the synthesized OCP one report
-// hard-reset violations only on the engine tiers.)
-func TestDiagnosticsEndpointDifferential(t *testing.T) {
-	_, ts := newTestServer(t, Config{Shards: 1})
-	tr := ocp.NewModel(ocp.Config{Gap: 2, Seed: 7, FaultRate: 0.25}).GenerateTrace(400)
-	sess := createSession(t, ts.URL, "assert", "OcpSimpleRead")
-	streamTicks(t, ts.URL, sess.ID, tr, 64)
-
-	var got DiagnosticsJSON
-	doJSON(t, "GET", fmt.Sprintf("%s/sessions/%s/diagnostics", ts.URL, sess.ID),
-		nil, http.StatusOK, &got)
-	if got.Session != sess.ID || got.Mode != "assert" || len(got.Monitors) != 1 {
-		t.Fatalf("diagnostics envelope = %+v", got)
-	}
-	md := got.Monitors[0]
-	if md.Spec != "OcpSimpleRead" || md.Violations == 0 || len(md.Diagnostics) == 0 {
-		t.Fatalf("expected retained violations for OcpSimpleRead, got %+v", md)
-	}
-	for _, d := range md.Diagnostics {
-		if d.Monitor == "" || d.Guard == "" || len(d.Guards) == 0 {
-			t.Errorf("diagnostic missing provenance fields: %+v", d)
-		}
-	}
-
-	m, err := synth.Synthesize(ocp.SimpleReadChart(), nil)
+// diagTierReferences steps the interpreted AST engine and a program
+// engine over tr, both in assert mode with the default diagnostics
+// window, and returns each tier's provenance in wire form. The program
+// engine's input is packed through a vocabulary declaring the supports
+// of the session's charts in session order, as the session's own is.
+func diagTierReferences(t *testing.T, c chart.Chart, session []chart.Chart, tr trace.Trace) map[string][]DiagnosticJSON {
+	t.Helper()
+	m, err := synth.Synthesize(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	references := map[string][]monitor.Diagnostic{}
 	interp := monitor.NewEngine(m, nil, monitor.ModeAssert)
 	interp.EnableDiagnostics(defaultDiagDepth)
 	interp.Run(tr)
-	references["interpreted"] = interp.Diagnostics()
+	v := event.NewVocabulary()
+	for _, sc := range session {
+		sm, err := synth.Synthesize(sc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sup, err := sm.Support()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v.DeclareSupport(sup); err != nil {
+			t.Fatal(err)
+		}
+	}
 	p, err := monitor.CompileProgram(m)
 	if err != nil {
-		t.Fatal(err)
-	}
-	v := event.NewVocabulary()
-	if err := v.DeclareSupport(p.Support()); err != nil {
 		t.Fatal(err)
 	}
 	packed, err := p.NewEngineVocab(nil, monitor.ModeAssert, v)
@@ -139,25 +128,150 @@ func TestDiagnosticsEndpointDifferential(t *testing.T) {
 	for _, s := range tr {
 		packed.StepPacked(v.Pack(s))
 	}
-	references["program/packed"] = packed.Diagnostics()
-
-	gotJSON, err := json.Marshal(md.Diagnostics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tier, diags := range references {
-		want := make([]DiagnosticJSON, 0, len(diags))
-		for _, d := range diags {
+	out := map[string][]DiagnosticJSON{}
+	for tier, e := range map[string]*monitor.Engine{"interpreted": interp, "program/packed": packed} {
+		want := make([]DiagnosticJSON, 0)
+		for _, d := range e.Diagnostics() {
 			want = append(want, diagnosticJSON(d))
 		}
-		wantJSON, err := json.Marshal(want)
-		if err != nil {
-			t.Fatal(err)
+		out[tier] = want
+	}
+	return out
+}
+
+// mergeTraces unions two traces tick by tick (the shorter one idles).
+func mergeTraces(a, b trace.Trace) trace.Trace {
+	out := make(trace.Trace, max(len(a), len(b)))
+	for i := range out {
+		s := event.NewState()
+		for _, src := range []trace.Trace{a, b} {
+			if i >= len(src) {
+				continue
+			}
+			for k, v := range src[i].Events {
+				s.Events[k] = v
+			}
+			for k, v := range src[i].Props {
+				s.Props[k] = v
+			}
 		}
-		if !bytes.Equal(gotJSON, wantJSON) {
-			t.Errorf("endpoint provenance diverges from %s tier:\n got %s\nwant %s",
-				tier, gotJSON, wantJSON)
+		out[i] = s
+	}
+	return out
+}
+
+// TestDiagnosticsEndpointDifferential checks that the provenance served
+// by GET /sessions/{id}/diagnostics — produced by assert sessions on the
+// packed path, their inputs packed once per tick through the session
+// vocabulary — is byte-identical JSON to what the interpreted AST engine
+// and a one-spec vocabulary-packed program engine emit for the same
+// trace, per monitor. Cases cover OCP and AHB traffic, a two-spec
+// session over one support, and a two-spec session whose union
+// vocabulary interleaves OCP and AHB symbols, so every monitor's inputs
+// are remapped from session slots and Valuation must still come out in
+// the monitor's own support order. (The table-bound engine's
+// differential lives in internal/monitor/provenance_test.go.)
+func TestDiagnosticsEndpointDifferential(t *testing.T) {
+	ocpTr := ocp.NewModel(ocp.Config{Gap: 2, Seed: 7, FaultRate: 0.25}).GenerateTrace(400)
+	ahbTr := amba.NewModel(amba.Config{Gap: 2, Seed: 9, FaultRate: 0.25}).GenerateTrace(400)
+	charts := map[string]chart.Chart{
+		"OcpSimpleRead":  ocp.SimpleReadChart(),
+		"OcpSimpleReadB": ocp.SimpleReadChart(),
+		"AhbTransaction": amba.TransactionChart(),
+	}
+	cases := []struct {
+		name  string
+		specs []string
+		tr    trace.Trace
+	}{
+		{"ocp", []string{"OcpSimpleRead"}, ocpTr},
+		{"ahb", []string{"AhbTransaction"}, ahbTr},
+		{"ocp-two-specs", []string{"OcpSimpleRead", "OcpSimpleReadB"}, ocpTr},
+		{"ocp+ahb", []string{"AhbTransaction", "OcpSimpleRead"}, mergeTraces(ocpTr, ahbTr)},
+	}
+	s, ts := newTestServer(t, Config{Shards: 1})
+	var src string
+	for _, name := range []string{"OcpSimpleReadB", "AhbTransaction"} {
+		src += parser.Print(name, charts[name])
+	}
+	if _, err := s.LoadSpecSource(src); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		sess := createSession(t, ts.URL, "assert", tc.specs...)
+		if sess.Path != "packed" {
+			t.Errorf("%s: assert session path = %q, want packed", tc.name, sess.Path)
 		}
+		streamTicks(t, ts.URL, sess.ID, tc.tr, 64)
+
+		var got DiagnosticsJSON
+		doJSON(t, "GET", fmt.Sprintf("%s/sessions/%s/diagnostics", ts.URL, sess.ID),
+			nil, http.StatusOK, &got)
+		if got.Session != sess.ID || got.Mode != "assert" || len(got.Monitors) != len(tc.specs) {
+			t.Fatalf("%s: diagnostics envelope = %+v", tc.name, got)
+		}
+		for i, md := range got.Monitors {
+			if md.Spec != tc.specs[i] || md.Violations == 0 || len(md.Diagnostics) == 0 {
+				t.Fatalf("%s: expected retained violations for %s, got %+v", tc.name, tc.specs[i], md)
+			}
+			for _, d := range md.Diagnostics {
+				if d.Monitor == "" || len(d.Guards) == 0 {
+					t.Errorf("%s: diagnostic missing provenance fields: %+v", tc.name, d)
+				}
+			}
+			gotJSON, err := json.Marshal(md.Diagnostics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var session []chart.Chart
+			for _, name := range tc.specs {
+				session = append(session, charts[name])
+			}
+			for tier, want := range diagTierReferences(t, charts[md.Spec], session, tc.tr) {
+				wantJSON, err := json.Marshal(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(gotJSON, wantJSON) {
+					t.Errorf("%s/%s: endpoint provenance diverges from %s tier:\n got %s\nwant %s",
+						tc.name, md.Spec, tier, gotJSON, wantJSON)
+				}
+			}
+		}
+	}
+}
+
+// TestDiagnosticsProjectOntoVocabulary: an assert session quotes its
+// inputs as packed through the session vocabulary, so a symbol no spec
+// reads is absent from every diagnostic's input and recent window. The
+// provenance equals the interpreted engine's on the projected trace.
+func TestDiagnosticsProjectOntoVocabulary(t *testing.T) {
+	_, ts := newTestServer(t, Config{Shards: 1})
+	clean := ocp.NewModel(ocp.Config{Gap: 2, Seed: 7, FaultRate: 0.25}).GenerateTrace(400)
+	stray := make(trace.Trace, len(clean))
+	for i, st := range clean {
+		stray[i] = st.WithEvents("Stray").WithProps("stray_prop")
+	}
+	sess := createSession(t, ts.URL, "assert", "OcpSimpleRead")
+	streamTicks(t, ts.URL, sess.ID, stray, 64)
+
+	body := getRaw(t, fmt.Sprintf("%s/sessions/%s/diagnostics", ts.URL, sess.ID))
+	if bytes.Contains(body, []byte("Stray")) || bytes.Contains(body, []byte("stray_prop")) {
+		t.Errorf("diagnostics quote symbols outside the session vocabulary:\n%s", body)
+	}
+	var got DiagnosticsJSON
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	md := got.Monitors[0]
+	if len(md.Diagnostics) == 0 {
+		t.Fatal("no diagnostics retained")
+	}
+	gotJSON, _ := json.Marshal(md.Diagnostics)
+	wantJSON, _ := json.Marshal(diagTierReferences(t, ocp.SimpleReadChart(), []chart.Chart{ocp.SimpleReadChart()}, clean)["interpreted"])
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("projected provenance diverges from the interpreted engine on the projected trace:\n got %s\nwant %s",
+			gotJSON, wantJSON)
 	}
 }
 

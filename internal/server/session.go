@@ -151,29 +151,21 @@ func newSession(id string, mode monitor.Mode, shard int, specs []*Spec, faults *
 	if depth == 0 && mode == monitor.ModeAssert {
 		depth = defaultDiagDepth
 	}
-	// Detect-mode sessions decode each tick once into a packed valuation
-	// over the union vocabulary of their specs. Assert-mode sessions keep
-	// the full map state per step so violation diagnostics capture the
-	// input exactly as received; their engines still run compiled guard
-	// programs. A vocabulary kind conflict across specs (same name used
-	// as event and prop) disables the shared packing for the session.
-	if mode == monitor.ModeDetect {
-		vocab := event.NewVocabulary()
-		ok := true
-		for _, sp := range specs {
-			if sp.compiled == nil {
-				ok = false
-				break
-			}
-			if err := vocab.DeclareSupport(sp.compiled.Support()); err != nil {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			s.vocab = vocab
+	// Every session decodes each tick once into a packed valuation over
+	// the union vocabulary of its specs, whatever its mode: violation
+	// diagnostics keep the packed words and unpack them through the
+	// vocabulary only when a violation quotes them, so the quoted input
+	// is projected onto the vocabulary. A spec without a compiled program
+	// or a vocabulary kind conflict across specs (same name used as
+	// event and prop) disables the shared packing for the session.
+	vocab := event.NewVocabulary()
+	for _, sp := range specs {
+		if sp.compiled == nil || vocab.DeclareSupport(sp.compiled.Support()) != nil {
+			vocab = nil
+			break
 		}
 	}
+	s.vocab = vocab
 	for _, sp := range specs {
 		sm := &sessionMonitor{spec: sp.Name, cov: verif.NewCoverage(sp.mon)}
 		switch {
@@ -564,6 +556,11 @@ type SessionInfoJSON struct {
 	IdleMilli int64    `json:"idle_ms"`
 	// Tenant is the quota accounting key the session is charged to.
 	Tenant string `json:"tenant,omitempty"`
+	// Path names the execution path the session's ticks take: "table"
+	// (packed input, fired transitions looked up in the spec's shared
+	// table), "packed" (packed input, compiled guard programs) or "map"
+	// (one event.State per tick). Empty for cold entries.
+	Path string `json:"path,omitempty"`
 	// Cold marks a paged-out session: its state lives in its WAL
 	// checkpoint and the next tick revives it transparently. Cold
 	// entries report no step count (reading one would mean reviving).
@@ -589,5 +586,19 @@ func (s *session) info() SessionInfoJSON {
 		Steps:     steps,
 		IdleMilli: s.idleFor(time.Now()).Milliseconds(),
 		Tenant:    s.tenant,
+		Path:      s.path(),
+	}
+}
+
+// path names the session's execution path for SessionInfoJSON.Path;
+// it reads only fields fixed by newSession.
+func (s *session) path() string {
+	switch {
+	case s.onTable:
+		return "table"
+	case s.fastPath:
+		return "packed"
+	default:
+		return "map"
 	}
 }

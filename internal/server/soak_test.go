@@ -184,6 +184,13 @@ func TestOverloadSoak(t *testing.T) {
 			t.Fatalf("session %d (%s) diverged from unloaded reference:\n got %s\nwant %s", i, id, got, want)
 		}
 		info, err := check.Resume(id, 0).Info(ctx)
+		// The janitor may page the session out again between the
+		// verdicts read that revived it and this info read; a cold entry
+		// reports no step count, so revive it and ask again.
+		for attempt := 0; err == nil && info.Cold && attempt < 20; attempt++ {
+			soakMonitors(t, check, id)
+			info, err = check.Resume(id, 0).Info(ctx)
+		}
 		if err != nil {
 			t.Fatalf("info %s: %v", id, err)
 		}
