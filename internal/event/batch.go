@@ -47,6 +47,14 @@ func (b *PackedBatch) Word(i, w int) uint64 {
 	return b.words[i*b.stride+w]
 }
 
+// AppendState packs s onto v's slots as a new tick at the end of the
+// batch — how ticks that arrive as a State (a VCD stream, an NDJSON body
+// the strict decoder refused, a JSON journal frame) join a batch. The
+// batch must have been Reset to v.Len() slots.
+func (b *PackedBatch) AppendState(v *Vocabulary, s State) {
+	v.pack(s, b.appendTick())
+}
+
 // appendTick grows the batch by one zeroed tick and returns its view.
 func (b *PackedBatch) appendTick() Packed {
 	need := (b.n + 1) * b.stride
@@ -77,7 +85,7 @@ func (b *PackedBatch) appendTick() Packed {
 // unescaped into a reused scratch buffer, and ticks land in the batch's
 // single backing array. The packing semantics match
 // Vocabulary.PackInto(StateJSON.ToState(tick)) exactly: undeclared
-// symbols and kind mismatches are dropped, false props are ignored.
+// symbols are dropped, false props are ignored.
 //
 // The decoder is strict where encoding/json is lenient (unknown or
 // duplicate fields, non-string event entries, trailing garbage all
@@ -206,7 +214,7 @@ func (d *BatchDecoder) events(data []byte, i int, p Packed) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if slot, ok := d.vocab.index[string(name)]; ok && d.vocab.symbols[slot].Kind == KindEvent {
+		if slot, ok := d.vocab.events[string(name)]; ok {
 			p.Set(slot)
 		}
 		i = skipSpace(data, j)
@@ -248,7 +256,7 @@ func (d *BatchDecoder) props(data []byte, i int, p Packed) (int, error) {
 		}
 		i = skipSpace(data, i+1)
 		if next, ok := literal(data, i, "true"); ok {
-			if slot, ok := d.vocab.index[string(name)]; ok && d.vocab.symbols[slot].Kind == KindProp {
+			if slot, ok := d.vocab.props[string(name)]; ok {
 				p.Set(slot)
 			}
 			i = next

@@ -60,8 +60,8 @@ func TestBatchDecoderMatchesJSONPath(t *testing.T) {
 		`{"events":["cmd","resp","data"]}` + "\n" + `{"props":{"busy":true,"ready":false}}`,
 		"  \t\n" + `{ "events" : [ "cmd" , "resp" ] , "props" : { "ready" : true } }` + "\r\n  ",
 		`{}` + "\n" + `{"events":[],"props":{}}` + "\n" + `{"events":null,"props":null}`,
-		// Field order reversed, unknown symbols dropped, kind mismatches
-		// dropped (cmd as prop, busy as event).
+		// Field order reversed, unknown symbols dropped, names declared
+		// only under the other kind dropped (cmd as prop, busy as event).
 		`{"props":{"cmd":true,"busy":true,"nosuch":true},"events":["busy","nosuch","resp"]}`,
 		// Escapes resolving to declared symbols.
 		`{"events":["quo\"te","esc\\ape","unié"],"props":{"tab\tprop":true}}`,
@@ -85,6 +85,50 @@ func TestBatchDecoderMatchesJSONPath(t *testing.T) {
 				t.Errorf("body %d tick %d: packed %x, want %x", i, j, got.Tick(j), want[j])
 			}
 		}
+	}
+}
+
+// TestVocabularyKindNamespaces declares busy as an event and as a prop:
+// the two get separate slots, and the strict decoder, PackInto over the
+// map state, and PackedBatch.AppendState all pack each tick identically.
+func TestVocabularyKindNamespaces(t *testing.T) {
+	v := NewVocabulary()
+	ev := v.MustDeclare("busy", KindEvent)
+	v.MustDeclare("go", KindEvent)
+	pr := v.MustDeclare("busy", KindProp)
+	if ev == pr || v.Len() != 3 {
+		t.Fatalf("busy event slot %d, prop slot %d, %d slots", ev, pr, v.Len())
+	}
+	body := `{"events":["busy"]}` + "\n" +
+		`{"props":{"busy":true}}` + "\n" +
+		`{"events":["busy","go"],"props":{"busy":true}}` + "\n" +
+		`{"events":["go"],"props":{"busy":false}}` + "\n"
+	wantBits := [][2]bool{{true, false}, {false, true}, {true, true}, {false, false}}
+	want := refDecode(t, v, body)
+	var got PackedBatch
+	if n, err := NewBatchDecoder(v).Decode([]byte(body), &got, 0); err != nil || n != len(wantBits) {
+		t.Fatalf("decode = %d ticks, %v", n, err)
+	}
+	var appended PackedBatch
+	appended.Reset(v.Len())
+	dec := json.NewDecoder(strings.NewReader(body))
+	for dec.More() {
+		var tick refTick
+		if err := dec.Decode(&tick); err != nil {
+			t.Fatal(err)
+		}
+		appended.AppendState(v, tick.toState())
+	}
+	for i, bits := range wantBits {
+		if !got.Tick(i).Equal(want[i]) || !appended.Tick(i).Equal(want[i]) {
+			t.Errorf("tick %d: decoder %x, AppendState %x, PackInto %x", i, got.Tick(i), appended.Tick(i), want[i])
+		}
+		if want[i].Bit(ev) != bits[0] || want[i].Bit(pr) != bits[1] {
+			t.Errorf("tick %d: busy event %v prop %v, want %v", i, want[i].Bit(ev), want[i].Bit(pr), bits)
+		}
+	}
+	if st := v.UnpackState(got.Tick(2)); !st.Event("busy") || !st.Prop("busy") {
+		t.Errorf("unpacked tick 2 = %v, want busy as both event and prop", st)
 	}
 }
 

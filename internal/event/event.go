@@ -46,33 +46,41 @@ type Symbol struct {
 func (s Symbol) String() string { return s.Name + ":" + s.Kind.String() }
 
 // Vocabulary is a symbol table assigning stable indices to symbols.
+// Events and props are separate namespaces, as in the paper's alphabet
+// and the ingest wire format: a name declared as both gets two slots.
 // The zero value is not usable; construct with NewVocabulary.
 type Vocabulary struct {
 	symbols []Symbol
-	index   map[string]int
+	events  map[string]int
+	props   map[string]int
 }
 
 // NewVocabulary returns an empty vocabulary.
 func NewVocabulary() *Vocabulary {
-	return &Vocabulary{index: make(map[string]int)}
+	return &Vocabulary{events: make(map[string]int), props: make(map[string]int)}
 }
 
-// Declare registers a symbol, returning its index. Re-declaring the same
-// name with the same kind is idempotent; with a different kind it errors.
+// slots returns the name-to-slot map of kind's namespace.
+func (v *Vocabulary) slots(kind Kind) map[string]int {
+	if kind == KindProp {
+		return v.props
+	}
+	return v.events
+}
+
+// Declare registers a symbol, returning its index. Re-declaring a
+// symbol is idempotent; only an empty name errors.
 func (v *Vocabulary) Declare(name string, kind Kind) (int, error) {
 	if name == "" {
 		return -1, fmt.Errorf("event: empty symbol name")
 	}
-	if i, ok := v.index[name]; ok {
-		if v.symbols[i].Kind != kind {
-			return -1, fmt.Errorf("event: symbol %q redeclared as %s (was %s)",
-				name, kind, v.symbols[i].Kind)
-		}
+	names := v.slots(kind)
+	if i, ok := names[name]; ok {
 		return i, nil
 	}
 	i := len(v.symbols)
 	v.symbols = append(v.symbols, Symbol{Name: name, Kind: kind})
-	v.index[name] = i
+	names[name] = i
 	return i, nil
 }
 
@@ -85,9 +93,10 @@ func (v *Vocabulary) MustDeclare(name string, kind Kind) int {
 	return i
 }
 
-// Lookup returns the index of name, or -1 if undeclared.
-func (v *Vocabulary) Lookup(name string) int {
-	if i, ok := v.index[name]; ok {
+// Lookup returns the index of the symbol name of the given kind, or -1
+// if undeclared.
+func (v *Vocabulary) Lookup(name string, kind Kind) int {
+	if i, ok := v.slots(kind)[name]; ok {
 		return i
 	}
 	return -1

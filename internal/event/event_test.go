@@ -15,24 +15,30 @@ func TestVocabularyDeclare(t *testing.T) {
 	if err != nil || j != 0 {
 		t.Errorf("idempotent redeclare = %d, %v", j, err)
 	}
-	if _, err := v.Declare("req", KindProp); err == nil {
-		t.Error("kind conflict not rejected")
+	// Events and props are separate namespaces: the same name as a prop
+	// is a second symbol with its own slot.
+	k, err := v.Declare("req", KindProp)
+	if err != nil || k != 1 {
+		t.Errorf("req as prop = %d, %v; want slot 1", k, err)
 	}
 	if _, err := v.Declare("", KindEvent); err == nil {
 		t.Error("empty name not rejected")
 	}
 	v.MustDeclare("ready", KindProp)
-	if v.Len() != 2 {
+	if v.Len() != 3 {
 		t.Errorf("len = %d", v.Len())
 	}
-	if v.Lookup("ready") != 1 || v.Lookup("nope") != -1 {
+	if v.Lookup("ready", KindProp) != 2 || v.Lookup("ready", KindEvent) != -1 || v.Lookup("nope", KindEvent) != -1 {
 		t.Error("lookup misbehaves")
 	}
-	if v.Symbol(1).Kind != KindProp {
+	if v.Lookup("req", KindEvent) != 0 || v.Lookup("req", KindProp) != 1 {
+		t.Error("lookup mixes the event and prop namespaces")
+	}
+	if v.Symbol(1).Kind != KindProp || v.Symbol(2).Kind != KindProp {
 		t.Error("symbol kind lost")
 	}
 	names := v.Names()
-	if len(names) != 2 || names[0] != "req" {
+	if len(names) != 3 || names[0] != "req" || names[1] != "req" {
 		t.Errorf("names = %v", names)
 	}
 }
@@ -40,12 +46,13 @@ func TestVocabularyDeclare(t *testing.T) {
 func TestMustDeclarePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("MustDeclare did not panic on conflict")
+			t.Error("MustDeclare did not panic on an empty name")
 		}
 	}()
 	v := NewVocabulary()
 	v.MustDeclare("x", KindEvent)
 	v.MustDeclare("x", KindProp)
+	v.MustDeclare("", KindEvent)
 }
 
 func TestKindString(t *testing.T) {

@@ -130,26 +130,25 @@ func (sp *Support) UnpackState(p Packed) State {
 // dropped.
 func (v *Vocabulary) PackInto(s State, buf Packed) Packed {
 	buf = ensureWidth(buf, len(v.symbols))
-	// Iterate the state's true entries rather than the vocabulary: a
-	// session vocabulary spans every loaded monitor while one tick
-	// mentions only a handful of symbols.
+	v.pack(s, buf)
+	return buf
+}
+
+// pack sets the slots of s's true symbols in the zeroed p. It iterates
+// the state's entries rather than the vocabulary: a session vocabulary
+// spans every loaded monitor while one tick mentions only a handful of
+// symbols.
+func (v *Vocabulary) pack(s State, p Packed) {
 	for name, val := range s.Events {
-		if !val {
-			continue
-		}
-		if i, ok := v.index[name]; ok && v.symbols[i].Kind == KindEvent {
-			buf.Set(i)
+		if i, ok := v.events[name]; ok && val {
+			p.Set(i)
 		}
 	}
 	for name, val := range s.Props {
-		if !val {
-			continue
-		}
-		if i, ok := v.index[name]; ok && v.symbols[i].Kind == KindProp {
-			buf.Set(i)
+		if i, ok := v.props[name]; ok && val {
+			p.Set(i)
 		}
 	}
-	return buf
 }
 
 // Pack projects a State onto the vocabulary's slots into a fresh Packed.
@@ -173,9 +172,9 @@ func (v *Vocabulary) UnpackState(p Packed) State {
 	return s
 }
 
-// DeclareSupport declares every symbol of sp into the vocabulary,
-// erroring on kind conflicts. It is how a session builds one shared
-// interner over the union of its monitors' supports.
+// DeclareSupport declares every symbol of sp into the vocabulary. It is
+// how a session builds one shared interner over the union of its
+// monitors' supports.
 func (v *Vocabulary) DeclareSupport(sp *Support) error {
 	for _, sym := range sp.Symbols() {
 		if _, err := v.Declare(sym.Name, sym.Kind); err != nil {

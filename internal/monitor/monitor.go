@@ -187,13 +187,20 @@ func (m *Monitor) Validate() error {
 
 // Support returns the input symbols referenced by any guard.
 func (m *Monitor) Support() (*event.Support, error) {
+	return event.NewSupport(m.Symbols())
+}
+
+// Symbols lists the input symbols referenced by each guard, in
+// transition order with repeats. Unlike Support it has no width limit
+// and accepts a name used as both an event and a prop.
+func (m *Monitor) Symbols() []event.Symbol {
 	var syms []event.Symbol
 	for _, ts := range m.Trans {
 		for _, t := range ts {
 			syms = append(syms, expr.SupportSymbols(t.Guard)...)
 		}
 	}
-	return event.NewSupport(syms)
+	return syms
 }
 
 // GuardsDisjoint reports whether, in every state, at most one guard can

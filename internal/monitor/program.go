@@ -271,18 +271,14 @@ func (p *Program) NewEngine(sb *Scoreboard, mode Mode) *Engine {
 // packed with the session vocabulary v (a superset interner shared by
 // many monitors): support slots are remapped into v's slot space, so
 // one vocabulary-packed valuation per tick serves every monitor of the
-// session. Every support symbol must already be declared in v with the
-// same kind (see event.Vocabulary.DeclareSupport).
+// session. Every support symbol must already be declared in v (see
+// event.Vocabulary.DeclareSupport).
 func (p *Program) NewEngineVocab(sb *Scoreboard, mode Mode, v *event.Vocabulary) (*Engine, error) {
 	remap := make([]int32, p.sup.Len())
 	for i, sym := range p.sup.Symbols() {
-		j := v.Lookup(sym.Name)
+		j := v.Lookup(sym.Name, sym.Kind)
 		if j < 0 {
-			return nil, fmt.Errorf("monitor %q: support symbol %q not in session vocabulary", p.m.Name, sym.Name)
-		}
-		if v.Symbol(j).Kind != sym.Kind {
-			return nil, fmt.Errorf("monitor %q: support symbol %q declared as %s in session vocabulary (want %s)",
-				p.m.Name, sym.Name, v.Symbol(j).Kind, sym.Kind)
+			return nil, fmt.Errorf("monitor %q: support %s %q not in session vocabulary", p.m.Name, sym.Kind, sym.Name)
 		}
 		remap[i] = int32(j)
 	}

@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/event"
@@ -21,35 +19,37 @@ import (
 // directory rebuilds each session by replaying the journal and reports
 // verdicts and coverage identical to an uninterrupted run.
 //
-// Record kinds:
+// Record kinds. cescd writes recMeta, recSnapshot and
+// recBatchRawTraced; recBatch and recBatchRaw are read-only: replay
+// still decodes them because older daemons wrote them (frozen samples
+// live under testdata/journals/).
 //
 //	recMeta     — session identity + the printed source of every spec,
 //	              written (and synced) before the create response. The
 //	              specs travel as source because the automaton is fully
 //	              deterministic to resynthesize, which keeps snapshots
 //	              small and versions the journal against the compiler.
-//	recBatch    — one accepted tick batch, with its journal index (jseq)
-//	              and the client's dedup seq, appended under ingestMu in
-//	              accept order.
 //	recSnapshot — periodic execution-state checkpoint. Appended via
 //	              wal.AppendCheckpoint, which rotates first so every
 //	              earlier record lands in an older segment and prunes
 //	              those segments afterwards; the record is therefore
 //	              self-contained (it repeats the session meta).
-//	recBatchRaw — one accepted fast-path batch: a 16-byte little-endian
-//	              header (jseq, then the client's dedup seq) followed by
-//	              the verbatim NDJSON request body. The ingest path
-//	              already validated the bytes with the strict batch
-//	              decoder, so journaling is one copy — no re-encode —
-//	              and replay re-decodes the same bytes.
-//	recBatchRawTraced — the PR-10 frame-header bump of recBatchRaw: the
-//	              same 16-byte header, then a uint16 trace-id length and
-//	              the trace-id bytes, then the verbatim body. Written
-//	              only when the batch carried a trace id, so a standby's
-//	              promotion replay (the records replicate verbatim) can
-//	              attribute recovered ticks to the originating trace.
-//	              Replay accepts both forms — PR-8-format standby
-//	              journals keep promoting, they just replay traceless.
+//	recBatchRawTraced — one accepted tick batch, appended under ingestMu
+//	              in accept order: a 16-byte little-endian header (the
+//	              journal index jseq, then the client's dedup seq), a
+//	              uint16 trace-id length and the trace-id bytes (length 0
+//	              when the batch carried none), then the batch's NDJSON
+//	              bytes — the verbatim request body, or a VCD chunk
+//	              encoded as NDJSON. Replay decodes the bytes with the
+//	              ingest decoder, and a standby's promotion replay (the
+//	              records replicate verbatim) attributes recovered ticks
+//	              to the originating trace.
+//	recBatch    — read-only: one batch as JSON, its ticks as StateJSON
+//	              objects (what daemons with a map ingest path wrote for
+//	              batches they decoded into maps).
+//	recBatchRaw — read-only: the recBatchRawTraced frame without the
+//	              trace field (what daemons wrote for untraced batches
+//	              before every batch took the traced frame).
 const (
 	recMeta           byte = 1
 	recBatch          byte = 2
@@ -58,18 +58,12 @@ const (
 	recBatchRawTraced byte = 5
 )
 
-// The record kinds are exported for the cluster layer, which passes
+// RecordSnapshot is exported for the cluster layer, which passes
 // journal records through verbatim: the replicator tails an owner's
 // journal and appends the same records to the standby copy, applying
-// RecordSnapshot via a checkpoint so the standby journal is pruned in
+// snapshots via a checkpoint so the standby journal is pruned in
 // lockstep with the owner's.
-const (
-	RecordMeta           = recMeta
-	RecordBatch          = recBatch
-	RecordSnapshot       = recSnapshot
-	RecordBatchRaw       = recBatchRaw
-	RecordBatchRawTraced = recBatchRawTraced
-)
+const RecordSnapshot = recSnapshot
 
 // rawBatchHeaderLen is the fixed prefix of a recBatchRaw payload: jseq
 // and the client seq, little-endian uint64s. recBatchRawTraced extends
@@ -159,55 +153,28 @@ func (s *Server) journalCreate(sess *session, specs []*Spec) error {
 	return nil
 }
 
-// journalBatch appends one accepted batch — one journal frame per batch
-// on either decode path. A fast-path batch is framed as recBatchRaw (the
-// header plus the verbatim request bytes, no re-encode); a slow-path
-// batch re-encodes its map states as the JSON recBatch record. Caller
-// holds sess.ingestMu and has already assigned b.jseq.
+// journalBatch appends one accepted batch as a recBatchRawTraced frame:
+// the header, the trace id (empty when untraced, or when too long for
+// the uint16 length field), then the batch's NDJSON bytes. Caller holds
+// sess.ingestMu and has already assigned b.jseq.
 func (s *Server) journalBatch(sess *session, b *batch, seq uint64) error {
-	var (
-		kind    byte
-		payload []byte
-	)
-	if b.packed != nil {
-		if b.trace != "" && len(b.trace) <= 0xFFFF {
-			// Traced batches take the extended frame so the trace id
-			// survives into replicated standby journals. Untraced batches
-			// keep the PR-8 frame byte for byte — tracing off costs the
-			// WAL nothing.
-			kind = recBatchRawTraced
-			payload = make([]byte, rawBatchHeaderLen+2+len(b.trace)+len(b.raw))
-			binary.LittleEndian.PutUint64(payload[0:8], b.jseq)
-			binary.LittleEndian.PutUint64(payload[8:16], seq)
-			binary.LittleEndian.PutUint16(payload[16:18], uint16(len(b.trace)))
-			copy(payload[18:], b.trace)
-			copy(payload[18+len(b.trace):], b.raw)
-		} else {
-			kind = recBatchRaw
-			payload = make([]byte, rawBatchHeaderLen+len(b.raw))
-			binary.LittleEndian.PutUint64(payload[0:8], b.jseq)
-			binary.LittleEndian.PutUint64(payload[8:16], seq)
-			copy(payload[rawBatchHeaderLen:], b.raw)
-		}
-	} else {
-		kind = recBatch
-		rec := batchRecordJSON{JSeq: b.jseq, Seq: seq, Trace: b.trace, Ticks: make([]StateJSON, len(b.states))}
-		for i, st := range b.states {
-			rec.Ticks[i] = stateJSON(st)
-		}
-		var err error
-		payload, err = json.Marshal(rec)
-		if err != nil {
-			return err
-		}
+	trace := b.trace
+	if len(trace) > 0xFFFF {
+		trace = ""
 	}
+	payload := make([]byte, rawBatchHeaderLen+2+len(trace)+len(b.raw))
+	binary.LittleEndian.PutUint64(payload[0:8], b.jseq)
+	binary.LittleEndian.PutUint64(payload[8:16], seq)
+	binary.LittleEndian.PutUint16(payload[16:18], uint16(len(trace)))
+	copy(payload[18:], trace)
+	copy(payload[18+len(trace):], b.raw)
 	start := time.Now()
-	err := sess.jrnl.Append(kind, payload)
+	err := sess.jrnl.Append(recBatchRawTraced, payload)
 	dur := time.Since(start)
 	s.metrics.observeStage(obs.StageWALAppend, dur)
 	sp := obs.Span{
 		Trace: b.trace, Session: sess.id, Stage: obs.StageWALAppend,
-		Start: start, Dur: dur, Ticks: b.tickCount(),
+		Start: start, Dur: dur, Ticks: b.packed.Len(),
 	}
 	if err != nil {
 		sp.Note = err.Error()
@@ -355,67 +322,66 @@ func (rs *sessionRestorer) apply(rec wal.Record) error {
 		if rs.sess == nil {
 			return fmt.Errorf("batch record before session meta")
 		}
-		sess := rs.sess
 		var br batchRecordJSON
 		if err := json.Unmarshal(rec.Payload, &br); err != nil {
 			return fmt.Errorf("batch record: %w", err)
 		}
-		if br.JSeq > sess.walSeq {
-			sess.walSeq = br.JSeq
-		}
-		if br.Seq > sess.lastSeq {
-			sess.lastSeq = br.Seq
-		}
-		if br.JSeq <= sess.appliedJSeq {
-			// Folded into the snapshot already.
+		if rs.folded(br.JSeq, br.Seq) {
 			return nil
 		}
-		if br.Trace != "" {
-			rs.lastTrace = br.Trace
-		}
-		sess.mu.Lock()
+		pb := new(event.PackedBatch)
+		pb.Reset(rs.sess.vocab.Len())
 		for _, t := range br.Ticks {
-			sess.step(t.ToState())
+			pb.AppendState(rs.sess.vocab, t.ToState())
 		}
-		sess.appliedJSeq = br.JSeq
-		sess.mu.Unlock()
-		rs.replayed++
-		rs.replayTicks += len(br.Ticks)
+		rs.replay(br.JSeq, br.Trace, pb)
 		return nil
-	case recBatchRaw:
+	case recBatchRaw, recBatchRawTraced:
 		if rs.sess == nil {
 			return fmt.Errorf("raw batch record before session meta")
 		}
-		if len(rec.Payload) < rawBatchHeaderLen {
-			return fmt.Errorf("raw batch record: %d bytes, want at least %d", len(rec.Payload), rawBatchHeaderLen)
+		jseq, seq, trace, raw, err := parseRawBatch(rec)
+		if err != nil {
+			return err
 		}
-		jseq := binary.LittleEndian.Uint64(rec.Payload[0:8])
-		seq := binary.LittleEndian.Uint64(rec.Payload[8:16])
-		return rs.applyRawBatch(jseq, seq, "", rec.Payload[rawBatchHeaderLen:])
-	case recBatchRawTraced:
-		if rs.sess == nil {
-			return fmt.Errorf("traced raw batch record before session meta")
+		if rs.folded(jseq, seq) {
+			return nil
 		}
-		if len(rec.Payload) < rawBatchHeaderLen+2 {
-			return fmt.Errorf("traced raw batch record: %d bytes, want at least %d", len(rec.Payload), rawBatchHeaderLen+2)
+		// The bytes passed the ingest decoder once, so an error here is
+		// corruption the CRC framing missed, reported rather than skipped.
+		pb, _, err := decodeBatch(rs.sess.vocab, raw, 0)
+		if err != nil {
+			return fmt.Errorf("raw batch record %d: %w", jseq, err)
 		}
-		jseq := binary.LittleEndian.Uint64(rec.Payload[0:8])
-		seq := binary.LittleEndian.Uint64(rec.Payload[8:16])
-		tlen := int(binary.LittleEndian.Uint16(rec.Payload[16:18]))
-		if len(rec.Payload) < rawBatchHeaderLen+2+tlen {
-			return fmt.Errorf("traced raw batch record: trace length %d overruns %d-byte payload", tlen, len(rec.Payload))
-		}
-		trace := string(rec.Payload[18 : 18+tlen])
-		return rs.applyRawBatch(jseq, seq, trace, rec.Payload[18+tlen:])
+		rs.replay(jseq, trace, pb)
+		return nil
 	default:
 		return fmt.Errorf("unknown record kind %d", rec.Kind)
 	}
 }
 
-// applyRawBatch folds one fast-path batch record (either raw frame) into
-// the session: watermark updates, snapshot skip, and a step replay of the
-// verbatim NDJSON body.
-func (rs *sessionRestorer) applyRawBatch(jseq, seq uint64, trace string, raw []byte) error {
+// parseRawBatch splits a recBatchRaw or recBatchRawTraced payload into
+// its header fields and NDJSON bytes.
+func parseRawBatch(rec wal.Record) (jseq, seq uint64, trace string, raw []byte, err error) {
+	p := rec.Payload
+	if len(p) < rawBatchHeaderLen {
+		return 0, 0, "", nil, fmt.Errorf("raw batch record: %d bytes, want at least %d", len(p), rawBatchHeaderLen)
+	}
+	jseq, seq, raw = binary.LittleEndian.Uint64(p[0:8]), binary.LittleEndian.Uint64(p[8:16]), p[rawBatchHeaderLen:]
+	if rec.Kind == recBatchRaw {
+		return jseq, seq, "", raw, nil
+	}
+	if len(raw) < 2 || len(raw) < 2+int(binary.LittleEndian.Uint16(raw)) {
+		return 0, 0, "", nil, fmt.Errorf("traced raw batch record: trace field overruns %d-byte payload", len(p))
+	}
+	end := 2 + int(binary.LittleEndian.Uint16(raw))
+	return jseq, seq, string(raw[2:end]), raw[end:], nil
+}
+
+// folded advances the session's journal and dedup watermarks past one
+// batch record and reports whether the restored snapshot already
+// covers it.
+func (rs *sessionRestorer) folded(jseq, seq uint64) bool {
 	sess := rs.sess
 	if jseq > sess.walSeq {
 		sess.walSeq = jseq
@@ -423,38 +389,22 @@ func (rs *sessionRestorer) applyRawBatch(jseq, seq uint64, trace string, raw []b
 	if seq > sess.lastSeq {
 		sess.lastSeq = seq
 	}
-	if jseq <= sess.appliedJSeq {
-		// Folded into the snapshot already.
-		return nil
-	}
+	return jseq <= sess.appliedJSeq
+}
+
+// replay steps one journaled batch through the session, as the shard
+// worker stepped it live.
+func (rs *sessionRestorer) replay(jseq uint64, trace string, pb *event.PackedBatch) {
 	if trace != "" {
 		rs.lastTrace = trace
 	}
-	// The raw bytes passed the strict batch decoder at ingest, so the
-	// lenient json path accepts them; an error here is corruption the
-	// CRC framing missed, reported rather than skipped. Replaying
-	// through the map path is verdict-identical to the fast path — the
-	// decoder equivalence the conformance suite pins.
-	var states []event.State
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	for {
-		var t StateJSON
-		if err := dec.Decode(&t); err == io.EOF {
-			break
-		} else if err != nil {
-			return fmt.Errorf("raw batch record tick %d: %w", len(states), err)
-		}
-		states = append(states, t.ToState())
-	}
+	sess := rs.sess
 	sess.mu.Lock()
-	for _, st := range states {
-		sess.step(st)
-	}
+	sess.stepBatch(pb, 0)
 	sess.appliedJSeq = jseq
 	sess.mu.Unlock()
 	rs.replayed++
-	rs.replayTicks += len(states)
-	return nil
+	rs.replayTicks += pb.Len()
 }
 
 // finish aligns the per-spec reporting watermarks with the restored
@@ -525,6 +475,9 @@ func (s *Server) sessionFromMeta(meta sessionMetaJSON) (*session, error) {
 	mode, err := parseMode(meta.Mode)
 	if err != nil {
 		return nil, err
+	}
+	if meta.DiagDepth < 0 || meta.DiagDepth > maxDiagDepth {
+		return nil, fmt.Errorf("diag_depth %d outside [0, %d]", meta.DiagDepth, maxDiagDepth)
 	}
 	specs := make([]*Spec, 0, len(meta.Specs))
 	for _, ss := range meta.Specs {

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/chart"
+	"repro/internal/event"
 	"repro/internal/faultinject"
 	"repro/internal/monitor"
 	"repro/internal/ocp"
@@ -55,7 +58,7 @@ func newLaneServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // prettyNDJSON renders the trace as indented, multi-line JSON values.
 // The lenient stream decoder accepts this; the strict byte-level batch
 // decoder does not, so a body in this shape is guaranteed to take the
-// slow map path.
+// lenient encoding/json decoder.
 func prettyNDJSON(t *testing.T, tr trace.Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -71,8 +74,8 @@ func prettyNDJSON(t *testing.T, tr trace.Trace) []byte {
 }
 
 // TestBatchFastPathParity streams the same trace through the zero-copy
-// batch decoder (compact NDJSON) and the lenient map decoder (indented
-// JSON, which the strict decoder rejects) into two sessions of the same
+// batch decoder (compact NDJSON) and the lenient encoding/json decoder
+// (indented JSON, which the strict decoder rejects) into two sessions of the same
 // server: verdicts, coverage, and accept ticks must be byte-identical,
 // and both must match the in-process reference engine.
 func TestBatchFastPathParity(t *testing.T) {
@@ -109,8 +112,9 @@ func TestBatchFastPathParity(t *testing.T) {
 }
 
 // TestFastPathJournalRecoveryParity checks the raw-batch journal frame
-// end to end: fast-path batches are journaled as verbatim NDJSON
-// (recBatchRaw), survive a crash, and replay to byte-identical verdicts.
+// end to end: batches are journaled as verbatim NDJSON
+// (recBatchRawTraced), survive a crash, and replay to byte-identical
+// verdicts.
 func TestFastPathJournalRecoveryParity(t *testing.T) {
 	dir := t.TempDir()
 	tr := ocp.NewModel(ocp.Config{Gap: 2, Seed: 21, FaultRate: 0.1}).GenerateTrace(200)
@@ -131,7 +135,7 @@ func TestFastPathJournalRecoveryParity(t *testing.T) {
 	}
 	rawRecords := 0
 	j, err := mgr.OpenJournal(sess.ID, func(rec wal.Record) error {
-		if rec.Kind == RecordBatchRaw {
+		if rec.Kind == recBatchRawTraced {
 			rawRecords++
 		}
 		return nil
@@ -385,8 +389,9 @@ func TestJournalBudgetPruning(t *testing.T) {
 }
 
 // kindClashSrc declares busy as a proposition in one spec and as an
-// event in the other, so no session vocabulary can hold both: a session
-// over the pair falls back to one event.State per tick.
+// event in the other. Events and props are separate vocabulary
+// namespaces, so a session over the pair gives busy two slots and runs
+// packed like any other.
 const kindClashSrc = `
 cesc BusyProp {
   prop busy;
@@ -405,10 +410,136 @@ cesc BusyEvent {
 }
 `
 
+// TestKindClashSessionParity runs BusyProp and BusyEvent in one assert
+// session, on traffic where busy is sometimes an event, sometimes a
+// prop and sometimes both, beside one single-spec session per spec.
+// Each monitor of the shared session must report the verdicts and
+// diagnostics of its single-spec twin — quoted inputs compared on the
+// twin's own symbols, since the shared vocabulary quotes both busys —
+// live over strict and lenient bodies, and again after crash recovery.
+func TestKindClashSessionParity(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Shards: 1, QueueDepth: 16, SnapshotEvery: 3, WALDir: dir}
+	start := func() (*Server, *httptest.Server) {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.LoadSpecSource(kindClashSrc); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(func() {
+			ts.Close()
+			s.Close()
+		})
+		return s, ts
+	}
+	rng := rand.New(rand.NewSource(23))
+	tr := make(trace.Trace, 240)
+	for i := range tr {
+		st := event.NewState()
+		for _, e := range []string{"go", "done", "busy"} {
+			if rng.Intn(3) == 0 {
+				st.Events[e] = true
+			}
+		}
+		if rng.Intn(2) == 0 {
+			st.Props["busy"] = true
+		}
+		tr[i] = st
+	}
+	// own lists each spec's symbols: what its single-spec twin quotes.
+	own := map[string]StateJSON{
+		"BusyProp":  {Events: []string{"done", "go"}, Props: map[string]bool{"busy": true}},
+		"BusyEvent": {Events: []string{"busy", "done"}},
+	}
+	project := func(spec string, s StateJSON) StateJSON {
+		var out StateJSON
+		for _, e := range s.Events {
+			if slices.Contains(own[spec].Events, e) {
+				out.Events = append(out.Events, e)
+			}
+		}
+		for p := range s.Props {
+			if own[spec].Props[p] {
+				out.Props = map[string]bool{p: true}
+			}
+		}
+		return out
+	}
+	// render renders one spec's verdict and diagnostics of a session,
+	// quoted inputs projected onto the spec's own symbols.
+	render := func(base, id, spec string) string {
+		t.Helper()
+		var v VerdictsJSON
+		var d DiagnosticsJSON
+		doJSON(t, "GET", base+"/sessions/"+id+"/verdicts", nil, http.StatusOK, &v)
+		doJSON(t, "GET", base+"/sessions/"+id+"/diagnostics", nil, http.StatusOK, &d)
+		var out []any
+		for i, mv := range v.Monitors {
+			if mv.Spec != spec {
+				continue
+			}
+			md := d.Monitors[i]
+			for _, diags := range [][]DiagnosticJSON{mv.Diagnostics, md.Diagnostics} {
+				for j := range diags {
+					diags[j].Input = project(spec, diags[j].Input)
+					for k := range diags[j].Recent {
+						diags[j].Recent[k] = project(spec, diags[j].Recent[k])
+					}
+				}
+			}
+			if mv.Violations == 0 || len(md.Diagnostics) == 0 {
+				t.Fatalf("%s in session %s: no violations to compare: %+v", spec, id, mv)
+			}
+			out = append(out, mv, md)
+		}
+		data, err := json.Marshal(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	check := func(base, both, prop, ev, when string) {
+		t.Helper()
+		for spec, twin := range map[string]string{"BusyProp": prop, "BusyEvent": ev} {
+			if got, want := render(base, both, spec), render(base, twin, spec); got != want {
+				t.Errorf("%s: %s in the shared session diverged from its single-spec session:\n got %s\nwant %s",
+					when, spec, got, want)
+			}
+		}
+	}
+
+	s1, ts1 := start()
+	both := createSession(t, ts1.URL, "assert", "BusyProp", "BusyEvent")
+	prop := createSession(t, ts1.URL, "assert", "BusyProp")
+	ev := createSession(t, ts1.URL, "assert", "BusyEvent")
+	if both.Path != "packed" {
+		t.Fatalf("shared session path = %q, want packed", both.Path)
+	}
+	for at, n := 0, 0; at < len(tr); at, n = at+40, n+1 {
+		for _, id := range []string{both.ID, prop.ID, ev.ID} {
+			body := ndjson(t, tr[at:at+40])
+			if n%2 == 1 {
+				body = prettyNDJSON(t, tr[at:at+40])
+			}
+			doJSON(t, "POST", fmt.Sprintf("%s/sessions/%s/ticks?wait=1", ts1.URL, id), body, http.StatusOK, nil)
+		}
+	}
+	check(ts1.URL, both.ID, prop.ID, ev.ID, "live")
+	s1.Crash()
+	ts1.Close()
+
+	_, ts2 := start()
+	check(ts2.URL, both.ID, prop.ID, ev.ID, "after recovery")
+}
+
 // TestSessionPathReporting checks the path field of GET /sessions/{id}
-// and GET /sessions: assert sessions and sessions with diag_depth run
-// packed, a chk-free single-spec detect session runs on the table, and
-// only a vocabulary kind clash leaves a session on the map path.
+// and GET /sessions: a chk-free single-spec detect session runs on the
+// table, and every other session runs packed — assert sessions,
+// sessions with diag_depth, and a session whose specs use one name as
+// an event and as a prop.
 func TestSessionPathReporting(t *testing.T) {
 	s, ts := newLaneServer(t, Config{Shards: 1})
 	if _, err := s.LoadSpecSource(kindClashSrc); err != nil {
@@ -426,7 +557,7 @@ func TestSessionPathReporting(t *testing.T) {
 		{"assert", 0, []string{"OcpSimpleRead"}, "packed"},
 		{"assert", 0, []string{"OcpSimpleRead", "LaneRead"}, "packed"},
 		{"detect", 0, []string{"OcpSimpleRead"}, "packed"},
-		{"assert", 0, []string{"BusyProp", "BusyEvent"}, "map"},
+		{"assert", 0, []string{"BusyProp", "BusyEvent"}, "packed"},
 	}
 	want := map[string]string{}
 	tr := ocp.NewModel(ocp.Config{Gap: 2, Seed: 3, FaultRate: 0.2}).GenerateTrace(64)

@@ -92,11 +92,9 @@ func (s *Server) ExportSession(id string) ([]byte, error) {
 	if sess.frozen {
 		return nil, fmt.Errorf("server: session %s is already mid-handoff", id)
 	}
-	b := &batch{sess: sess, done: make(chan struct{})}
-	if err := s.enqueueWait(b); err != nil {
+	if err := s.barrier(sess); err != nil {
 		return nil, err
 	}
-	<-b.done
 	sess.frozen = true
 	payload, err := json.Marshal(buildSnapshotRecord(sess))
 	if err != nil {

@@ -88,6 +88,48 @@ func TestPromExposition(t *testing.T) {
 	}
 }
 
+// TestFastPathFallbackCounter checks
+// cescd_fastpath_fallback_total{reason="lenient_decode"}: it stays 0 on
+// strict bodies and on a body both decoders refuse, counts a body with
+// an unknown tick field (which only encoding/json accepts), and the
+// exposition stays valid throughout.
+func TestFastPathFallbackCounter(t *testing.T) {
+	s, ts := newTestServer(t, Config{Shards: 1})
+	sess := createSession(t, ts.URL, "detect", "OcpSimpleRead")
+	scrape := func(want int) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(body)
+		if _, err := obs.ValidatePromText(text); err != nil {
+			t.Fatalf("exposition invalid: %v\n%s", err, text)
+		}
+		sample := fmt.Sprintf("cescd_fastpath_fallback_total{reason=\"lenient_decode\"} %d\n", want)
+		if !strings.Contains(text, sample) {
+			t.Errorf("exposition lacks %q", sample)
+		}
+		if got := s.Metrics().LenientDecodes; got != uint64(want) {
+			t.Errorf("lenient_decodes = %d, want %d", got, want)
+		}
+	}
+	streamTicks(t, ts.URL, sess.ID, ocp.NewModel(ocp.Config{Gap: 2, Seed: 4}).GenerateTrace(64), 32)
+	doJSON(t, "POST", ts.URL+"/sessions/"+sess.ID+"/ticks", []byte(`{"events":[`), http.StatusBadRequest, nil)
+	scrape(0)
+	unknown := []byte(`{"events":["MCmd_rd","Addr","SCmd_accept"],"note":"first"}` + "\n" + `{"events":["SResp","SData"]}` + "\n")
+	doJSON(t, "POST", ts.URL+"/sessions/"+sess.ID+"/ticks?wait=1", unknown, http.StatusOK, nil)
+	scrape(1)
+	if v := verdictFor(t, ts.URL, sess.ID, "OcpSimpleRead"); v.Steps != 66 {
+		t.Errorf("steps = %d, want 66", v.Steps)
+	}
+}
+
 // diagTierReferences steps the interpreted AST engine and a program
 // engine over tr, both in assert mode with the default diagnostics
 // window, and returns each tier's provenance in wire form. The program

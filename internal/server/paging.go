@@ -145,11 +145,9 @@ func (s *Server) pageOutSession(sess *session) error {
 	if sess.jrnl == nil {
 		return errNotJournaled
 	}
-	b := &batch{sess: sess, done: make(chan struct{})}
-	if err := s.enqueueWait(b); err != nil {
+	if err := s.barrier(sess); err != nil {
 		return err
 	}
-	<-b.done
 	if err := s.snapshotSession(sess); err != nil {
 		// The session stays hot and keeps serving; the journal tail is
 		// still intact, so nothing is lost.

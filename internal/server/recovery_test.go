@@ -248,6 +248,42 @@ func TestQuarantineSurvivesRecovery(t *testing.T) {
 	}
 }
 
+// TestReplayFaultPlanPerBatch checks that journal replay consumes the
+// fault plan per batch, as live processing does: a counted panic rule
+// fires on its fourth batch live, and a recovery on a plane with the
+// same rules and seed must quarantine the monitor at the same tick, with
+// byte-identical verdicts. A replay that counted one hit per tick would
+// fire on the fourth tick instead.
+func TestReplayFaultPlanPerBatch(t *testing.T) {
+	plane := func() *faultinject.Plane {
+		return faultinject.New(5).Add(faultinject.Rule{
+			Point: "monitor.step.OcpSimpleRead", Kind: faultinject.KindPanic, After: 3, Count: 1,
+		})
+	}
+	dir := t.TempDir()
+	tr := ocp.NewModel(ocp.Config{Gap: 2, Seed: 19, FaultRate: 0.1}).GenerateTrace(192)
+	// SnapshotEvery < 0 keeps the whole journal, so recovery replays
+	// every batch through the plane rather than restoring a checkpoint.
+	cfg := Config{Shards: 1, QueueDepth: 8, SnapshotEvery: -1}
+	cfg.Faults = plane()
+	s1, ts1 := newWALServer(t, dir, cfg)
+	sess := createSession(t, ts1.URL, "detect", "OcpSimpleRead", "OcpSimpleReadB")
+	streamTicks(t, ts1.URL, sess.ID, tr, 32)
+	hurt := verdictFor(t, ts1.URL, sess.ID, "OcpSimpleRead")
+	if !hurt.Quarantined || hurt.Steps < 96 || hurt.Steps >= 128 {
+		t.Fatalf("panic did not quarantine the monitor in batch 4: %+v", hurt)
+	}
+	want := monitorsJSON(t, ts1.URL, sess.ID)
+	s1.Crash()
+	ts1.Close()
+
+	cfg.Faults = plane()
+	_, ts2 := newWALServer(t, dir, cfg)
+	if got := monitorsJSON(t, ts2.URL, sess.ID); string(got) != string(want) {
+		t.Fatalf("replay fired the fault plan at a different tick:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestHotLoadDuringTraffic hammers a session with ticks while POSTing a
 // malformed spec update: the load is rejected, the previous version
 // keeps serving both the session and new lookups, and a well-formed
@@ -299,7 +335,8 @@ func TestHotLoadDuringTraffic(t *testing.T) {
 }
 
 // TestVCDRecoveryParity journals the VCD upload path too: a crash after
-// a VCD upload recovers to the same verdicts.
+// a VCD upload recovers to the same verdicts, both from per-chunk
+// snapshots and by replaying every chunk's NDJSON batch frame.
 func TestVCDRecoveryParity(t *testing.T) {
 	tr := ocp.NewModel(ocp.Config{Gap: 2, Seed: 19, FaultRate: 0.15}).GenerateTrace(500)
 	var buf bytes.Buffer
@@ -307,23 +344,28 @@ func TestVCDRecoveryParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	vcd := buf.Bytes()
-	cfg := Config{Shards: 1, QueueDepth: 8, SnapshotEvery: 1}
+	for _, every := range []int{1, -1} {
+		cfg := Config{Shards: 1, QueueDepth: 8, SnapshotEvery: every}
 
-	_, refTS := newWALServer(t, t.TempDir(), cfg)
-	ref := createSession(t, refTS.URL, "detect", "OcpSimpleRead")
-	doJSON(t, "POST", fmt.Sprintf("%s/sessions/%s/vcd", refTS.URL, ref.ID), vcd, http.StatusOK, nil)
-	want := monitorsJSON(t, refTS.URL, ref.ID)
+		_, refTS := newWALServer(t, t.TempDir(), cfg)
+		ref := createSession(t, refTS.URL, "detect", "OcpSimpleRead")
+		doJSON(t, "POST", fmt.Sprintf("%s/sessions/%s/vcd", refTS.URL, ref.ID), vcd, http.StatusOK, nil)
+		want := monitorsJSON(t, refTS.URL, ref.ID)
 
-	dir := t.TempDir()
-	s1, ts1 := newWALServer(t, dir, cfg)
-	sess := createSession(t, ts1.URL, "detect", "OcpSimpleRead")
-	doJSON(t, "POST", fmt.Sprintf("%s/sessions/%s/vcd", ts1.URL, sess.ID), vcd, http.StatusOK, nil)
-	s1.Crash()
-	ts1.Close()
+		dir := t.TempDir()
+		s1, ts1 := newWALServer(t, dir, cfg)
+		sess := createSession(t, ts1.URL, "detect", "OcpSimpleRead")
+		doJSON(t, "POST", fmt.Sprintf("%s/sessions/%s/vcd", ts1.URL, sess.ID), vcd, http.StatusOK, nil)
+		s1.Crash()
+		ts1.Close()
 
-	_, ts2 := newWALServer(t, dir, cfg)
-	if got := monitorsJSON(t, ts2.URL, sess.ID); string(got) != string(want) {
-		t.Fatalf("VCD session recovery diverged:\n got %s\nwant %s", got, want)
+		s2, ts2 := newWALServer(t, dir, cfg)
+		if got := monitorsJSON(t, ts2.URL, sess.ID); string(got) != string(want) {
+			t.Fatalf("snapshot-every %d: VCD session recovery diverged:\n got %s\nwant %s", every, got, want)
+		}
+		if replayed := s2.Metrics().BatchesReplayed; every < 0 && replayed == 0 {
+			t.Fatalf("snapshot-every %d: no VCD batch frames replayed", every)
+		}
 	}
 }
 

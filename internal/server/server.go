@@ -830,6 +830,49 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 // driven deterministically.
 var ErrInjected429 = errors.New("injected backpressure")
 
+// decodeError is a batch body the ingest endpoint refuses, with the
+// status it answers.
+type decodeError struct {
+	status int
+	msg    string
+}
+
+func (e *decodeError) Error() string { return e.msg }
+
+// decodeBatch packs an NDJSON tick body over vocab — the one decoder of
+// ingest and journal replay. The strict zero-copy BatchDecoder packs the
+// bytes straight into bitset lanes; a body it refuses (unknown field,
+// indented JSON, oversized batch) goes through encoding/json, tick by
+// tick, which reproduces the endpoint's error responses (400 for a bad
+// tick or an empty body, 413 past maxTicks; 0 means no limit). lenient
+// reports that the second decoder accepted the body. Both pack
+// identically, so which one ran never changes a verdict.
+func decodeBatch(vocab *event.Vocabulary, body []byte, maxTicks int) (pb *event.PackedBatch, lenient bool, err error) {
+	pb = new(event.PackedBatch)
+	if n, err := event.NewBatchDecoder(vocab).Decode(body, pb, maxTicks); err == nil && n > 0 {
+		return pb, false, nil
+	}
+	pb.Reset(vocab.Len())
+	dec := json.NewDecoder(bytes.NewReader(body))
+	for {
+		var t StateJSON
+		if err := dec.Decode(&t); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, false, &decodeError{http.StatusBadRequest, fmt.Sprintf("tick %d: %v", pb.Len(), err)}
+		}
+		if maxTicks > 0 && pb.Len() >= maxTicks {
+			return nil, false, &decodeError{http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("batch exceeds %d ticks; split the stream", maxTicks)}
+		}
+		pb.AppendState(vocab, t.ToState())
+	}
+	if pb.Len() == 0 {
+		return nil, false, &decodeError{http.StatusBadRequest, "no ticks in body"}
+	}
+	return pb, true, nil
+}
+
 // handleTicks ingests NDJSON valuation ticks (one StateJSON object per
 // line; a plain JSON stream also decodes). The batch is enqueued to the
 // session's shard: 202 on acceptance, 429 + Retry-After when the shard
@@ -889,51 +932,16 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	// Fast path: when every monitor in the session steps packed, the
-	// strict zero-copy batch decoder packs the NDJSON body straight into
-	// bitset lanes — no map materialization, no per-tick allocation. Any
-	// decode error (unknown field, malformed line, oversized batch) falls
-	// back to the lenient map path below, which reproduces the exact
-	// legacy error responses; the fast path only ever wins on input the
-	// slow path would also have accepted, with bit-identical packing.
-	var (
-		states []event.State
-		packed *event.PackedBatch
-		raw    []byte
-	)
-	if sess.fastPath {
-		pb := new(event.PackedBatch)
-		bd := event.NewBatchDecoder(sess.vocab)
-		if n, derr := bd.Decode(body, pb, s.cfg.MaxBatchTicks); derr == nil && n > 0 {
-			packed, raw = pb, body
-		}
+	packed, lenient, err := decodeBatch(sess.vocab, body, s.cfg.MaxBatchTicks)
+	var refused *decodeError
+	if errors.As(err, &refused) {
+		writeError(w, refused.status, "%s", refused.msg)
+		return
 	}
-	if packed == nil {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		for {
-			var t StateJSON
-			if err := dec.Decode(&t); err == io.EOF {
-				break
-			} else if err != nil {
-				writeError(w, http.StatusBadRequest, "tick %d: %v", len(states), err)
-				return
-			}
-			if len(states) >= s.cfg.MaxBatchTicks {
-				writeError(w, http.StatusRequestEntityTooLarge,
-					"batch exceeds %d ticks; split the stream", s.cfg.MaxBatchTicks)
-				return
-			}
-			states = append(states, t.ToState())
-		}
-		if len(states) == 0 {
-			writeError(w, http.StatusBadRequest, "no ticks in body")
-			return
-		}
+	if lenient {
+		s.metrics.lenientDecodes.Add(1)
 	}
-	nticks := len(states)
-	if packed != nil {
-		nticks = packed.Len()
-	}
+	nticks := packed.Len()
 	decodeDur := time.Since(decodeStart)
 	s.metrics.observeStage(obs.StageDecode, decodeDur)
 	s.tracer.Record(sess.shard, obs.Span{
@@ -961,7 +969,7 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	b := &batch{sess: sess, states: states, packed: packed, raw: raw,
+	b := &batch{sess: sess, packed: packed, raw: body,
 		enqueued: time.Now(), trace: traceID}
 	wait := r.URL.Query().Get("wait") == "1"
 	shedWait := false
@@ -1159,15 +1167,21 @@ func (s *Server) handleVCD(w http.ResponseWriter, r *http.Request) {
 		}
 		return event.KindEvent
 	}
+	// Each chunk is packed as it streams in and encoded as NDJSON for
+	// the journal, so a VCD batch journals and replays like an NDJSON one.
 	total := 0
-	chunk := make([]event.State, 0, vcdChunkTicks)
+	var raw []byte
+	chunk := new(event.PackedBatch)
+	chunk.Reset(sess.vocab.Len())
 	flush := func() error {
-		if len(chunk) == 0 {
+		n := chunk.Len()
+		if n == 0 {
 			return nil
 		}
 		b := &batch{
 			sess:     sess,
-			states:   chunk,
+			packed:   chunk,
+			raw:      raw,
 			enqueued: time.Now(),
 			done:     make(chan struct{}),
 		}
@@ -1175,7 +1189,7 @@ func (s *Server) handleVCD(w http.ResponseWriter, r *http.Request) {
 		// quota is charged with force: the upload never fails mid-stream
 		// on quota, it drives the bucket into debt and the tenant's
 		// subsequent batches absorb the throttling.
-		s.tenants.takeTicks(sess.tenant, len(chunk), true)
+		s.tenants.takeTicks(sess.tenant, n, true)
 		sess.ingestMu.Lock()
 		if sess.pagedOut {
 			sess.ingestMu.Unlock()
@@ -1209,13 +1223,20 @@ func (s *Server) handleVCD(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		sess.ingestMu.Unlock()
-		total += len(chunk)
-		chunk = make([]event.State, 0, vcdChunkTicks)
+		total += n
+		raw = nil
+		chunk = new(event.PackedBatch)
+		chunk.Reset(sess.vocab.Len())
 		return nil
 	}
 	err = trace.StreamVCD(r.Body, kindOf, func(st event.State) error {
-		chunk = append(chunk, st)
-		if len(chunk) >= vcdChunkTicks {
+		chunk.AppendState(sess.vocab, st)
+		line, err := json.Marshal(stateJSON(st))
+		if err != nil {
+			return err
+		}
+		raw = append(append(raw, line...), '\n')
+		if chunk.Len() >= vcdChunkTicks {
 			return flush()
 		}
 		return nil

@@ -53,17 +53,11 @@ type session struct {
 
 	mu   sync.Mutex
 	mons []*sessionMonitor
-	// vocab, when non-nil, is the session's union interner: the supports
-	// of every loaded spec declared into one symbol table. Each tick is
-	// then decoded once into packBuf (vocab slot space) and every
-	// program-bound engine consumes the same packed valuation.
-	vocab   *event.Vocabulary
-	packBuf event.Packed
-	// fastPath marks sessions eligible for zero-copy batch ingest: every
-	// monitor consumes the shared packed valuation, so the byte-level
-	// batch decoder can pack request bodies straight into lanes without
-	// materializing event.State maps. Immutable after newSession.
-	fastPath bool
+	// vocab is the session's union interner: the symbols of every loaded
+	// spec declared into one table, events and props apart. Every batch
+	// is packed once over it, and every monitor consumes the same packed
+	// valuation per tick. Immutable after newSession.
+	vocab *event.Vocabulary
 	// onTable marks a lane-eligible session: its single monitor's engine
 	// resolves fired transitions in the spec's shared transition table
 	// (Engine.UseTable) instead of scanning compiled guards. Immutable
@@ -107,12 +101,8 @@ type session struct {
 // its engine state is suspect, so it stops consuming ticks while the
 // rest of the session keeps running.
 type sessionMonitor struct {
-	spec string
-	eng  *monitor.Engine
-	// packed marks engines bound to the session vocabulary: they consume
-	// the session's shared packed valuation via StepPacked instead of
-	// re-reading the map state.
-	packed      bool
+	spec        string
+	eng         *monitor.Engine
 	cov         *verif.Coverage
 	acceptTicks []int
 
@@ -155,33 +145,26 @@ func newSession(id string, mode monitor.Mode, shard int, specs []*Spec, faults *
 	// the union vocabulary of its specs, whatever its mode: violation
 	// diagnostics keep the packed words and unpack them through the
 	// vocabulary only when a violation quotes them, so the quoted input
-	// is projected onto the vocabulary. A spec without a compiled program
-	// or a vocabulary kind conflict across specs (same name used as
-	// event and prop) disables the shared packing for the session.
-	vocab := event.NewVocabulary()
+	// is projected onto the vocabulary. A spec's support is declared in
+	// support order, so a one-spec vocabulary is exactly the shared
+	// table's slot order (see Engine.UseTable); a spec without a
+	// compiled program declares the symbols its guards read.
+	s.vocab = event.NewVocabulary()
 	for _, sp := range specs {
-		if sp.compiled == nil || vocab.DeclareSupport(sp.compiled.Support()) != nil {
-			vocab = nil
-			break
+		syms := sp.mon.Symbols()
+		if sp.compiled != nil {
+			syms = sp.compiled.Support().Symbols()
+		}
+		for _, sym := range syms {
+			s.vocab.MustDeclare(sym.Name, sym.Kind)
 		}
 	}
-	s.vocab = vocab
 	for _, sp := range specs {
 		sm := &sessionMonitor{spec: sp.Name, cov: verif.NewCoverage(sp.mon)}
-		switch {
-		case s.vocab != nil:
-			eng, err := sp.compiled.Program.NewEngineVocab(nil, mode, s.vocab)
-			if err != nil {
-				// Unreachable after DeclareSupport succeeded; degrade
-				// rather than refuse the session.
-				sm.eng = monitor.NewEngine(sp.mon, nil, mode)
-			} else {
-				sm.eng = eng
-				sm.packed = true
-			}
-		case sp.compiled != nil:
-			sm.eng = sp.compiled.Program.NewEngine(nil, mode)
-		default:
+		if sp.compiled != nil {
+			sm.eng, _ = sp.compiled.Program.NewEngineVocab(nil, mode, s.vocab)
+		}
+		if sm.eng == nil {
 			sm.eng = monitor.NewEngine(sp.mon, nil, mode)
 		}
 		if depth > 0 {
@@ -189,20 +172,11 @@ func newSession(id string, mode monitor.Mode, shard int, specs []*Spec, faults *
 		}
 		s.mons = append(s.mons, sm)
 	}
-	if s.vocab != nil {
-		s.fastPath = true
-		for _, sm := range s.mons {
-			if !sm.packed {
-				s.fastPath = false
-				break
-			}
-		}
-	}
-	// Lane eligibility: one packed chk-free monitor with diagnostics off.
+	// Lane eligibility: one compiled chk-free monitor with diagnostics off.
 	// Its engine then looks fired transitions up in the spec's shared
 	// table; UseTable refuses a vocabulary that is not exactly the table's
 	// support in slot order (a single-spec vocabulary always is).
-	if s.fastPath && depth == 0 && len(s.mons) == 1 && len(specs) == 1 {
+	if depth == 0 && len(s.mons) == 1 && s.mons[0].eng.Programmed() {
 		if tab, err := specs[0].compiled.Table(); err == nil && tab.ChkFree() {
 			s.onTable = s.mons[0].eng.UseTable(tab) == nil
 		}
@@ -281,24 +255,30 @@ func (s *session) batchShots(n int) []faultShot {
 	return shots
 }
 
-// step feeds one tick to every monitor of the session — the single-tick
-// path (journal replay, VCD chunks processed as batches of map states).
-// Caller holds s.mu. It returns the number of acceptances, violations,
-// and newly quarantined monitors at this tick.
-func (s *session) step(st event.State) (accepts, violations, quarantines int) {
-	return s.stepTick(st, nil, s.batchShots(1), 0)
+// stepBatch feeds every tick of pb to every monitor of the session
+// under one fault plan, sleeping delay before each tick. It is the one
+// stepping path of live batches and journal replay, so a counted fault
+// rule fires on the same tick in both. Caller holds s.mu. It returns the
+// number of acceptances, violations, and newly quarantined monitors.
+func (s *session) stepBatch(pb *event.PackedBatch, delay time.Duration) (accepts, violations, quarantines int) {
+	n := pb.Len()
+	shots := s.batchShots(n)
+	for i := 0; i < n; i++ {
+		if delay > 0 {
+			time.Sleep(delay)
+		}
+		a, v, q := s.stepTick(pb.Tick(i), shots, i)
+		accepts += a
+		violations += v
+		quarantines += q
+	}
+	return accepts, violations, quarantines
 }
 
-// stepTick feeds tick i of a batch to every monitor. Caller holds s.mu.
-// When in is non-nil it is the batch-decoded packed valuation in vocab
-// slot order and st is ignored (the zero-copy fast path); otherwise st
-// is packed here exactly as the batch decoder would have. shots is the
-// batch's fault plan from batchShots (nil when no faults are wired).
-func (s *session) stepTick(st event.State, in event.Packed, shots []faultShot, i int) (accepts, violations, quarantines int) {
-	if in == nil && s.vocab != nil {
-		s.packBuf = s.vocab.PackInto(st, s.packBuf)
-		in = s.packBuf
-	}
+// stepTick feeds tick i of a batch, packed in vocab slot order, to every
+// monitor. Caller holds s.mu. shots is the batch's fault plan from
+// batchShots (nil when no faults are wired).
+func (s *session) stepTick(in event.Packed, shots []faultShot, i int) (accepts, violations, quarantines int) {
 	for mi, sm := range s.mons {
 		if sm.quarantined {
 			continue
@@ -307,7 +287,7 @@ func (s *session) stepTick(st event.State, in event.Packed, shots []faultShot, i
 		if shots != nil && shots[mi].do != nil && shots[mi].off == i {
 			fire = shots[mi].do
 		}
-		res, panicked := sm.safeStep(fire, st, in)
+		res, panicked := sm.safeStep(fire, in, s.vocab)
 		if panicked != nil {
 			// The engine may have died mid-transition; its state is no
 			// longer trustworthy, so the monitor is fenced off for the
@@ -336,16 +316,18 @@ func (s *session) stepTick(st event.State, in event.Packed, shots []faultShot, i
 // batch fault plan's effect for this monitor at this tick — the
 // "monitor.step.<spec>" injection point resolved per batch (error
 // effects are ignored here, like the old per-tick Hit; latency sleeps
-// and panics land as themselves).
-func (sm *sessionMonitor) safeStep(fire func() error, st event.State, in event.Packed) (res monitor.StepResult, panicked any) {
+// and panics land as themselves). A spec without a compiled program
+// runs the interpreted reference engine on the tick unpacked through
+// vocab.
+func (sm *sessionMonitor) safeStep(fire func() error, in event.Packed, vocab *event.Vocabulary) (res monitor.StepResult, panicked any) {
 	defer func() { panicked = recover() }()
 	if fire != nil {
 		_ = fire()
 	}
-	if sm.packed {
+	if sm.eng.Programmed() {
 		return sm.eng.StepPacked(in), nil
 	}
-	return sm.eng.Step(st), nil
+	return sm.eng.Step(vocab.UnpackState(in)), nil
 }
 
 // modeString renders the session mode for JSON bodies.
@@ -557,9 +539,10 @@ type SessionInfoJSON struct {
 	// Tenant is the quota accounting key the session is charged to.
 	Tenant string `json:"tenant,omitempty"`
 	// Path names the execution path the session's ticks take: "table"
-	// (packed input, fired transitions looked up in the spec's shared
-	// table), "packed" (packed input, compiled guard programs) or "map"
-	// (one event.State per tick). Empty for cold entries.
+	// (fired transitions looked up in the spec's shared table) or
+	// "packed" (compiled guard programs, or the interpreted engine for a
+	// spec without one). Every path steps packed ticks. Empty for cold
+	// entries.
 	Path string `json:"path,omitempty"`
 	// Cold marks a paged-out session: its state lives in its WAL
 	// checkpoint and the next tick revives it transparently. Cold
@@ -593,12 +576,8 @@ func (s *session) info() SessionInfoJSON {
 // path names the session's execution path for SessionInfoJSON.Path;
 // it reads only fields fixed by newSession.
 func (s *session) path() string {
-	switch {
-	case s.onTable:
+	if s.onTable {
 		return "table"
-	case s.fastPath:
-		return "packed"
-	default:
-		return "map"
 	}
+	return "packed"
 }

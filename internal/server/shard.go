@@ -14,17 +14,13 @@ import (
 // arrival order by the owning shard's worker.
 type batch struct {
 	sess *session
-	// states carries the slow-path decode: one map state per tick. Nil
-	// when the batch rode the zero-copy fast path.
-	states []event.State
-	// packed carries the fast-path decode: the request body packed
-	// directly into bitset lanes by event.BatchDecoder, one stride of
-	// words per tick in vocab slot order. Nil on the slow path.
+	// packed is the batch's ticks packed over the session vocabulary,
+	// one stride of words per tick — every source of ticks (strict or
+	// lenient NDJSON, VCD) lands here.
 	packed *event.PackedBatch
-	// raw is the verbatim NDJSON request body of a fast-path batch; the
-	// journal appends it as-is (one frame, no re-encode) and replay
-	// re-decodes it, so durability never pays the map materialization
-	// the fast path just avoided.
+	// raw is the batch as NDJSON: the verbatim request body, or a VCD
+	// chunk encoded one StateJSON line per tick. The journal appends it
+	// as-is and replay re-decodes it with the ingest decoder.
 	raw      []byte
 	enqueued time.Time
 	// trace is the correlation id of the ingest request ("" when tracing
@@ -39,15 +35,6 @@ type batch struct {
 	// been processed (the ?wait=1 ingest path, the VCD upload, and
 	// snapshot barriers).
 	done chan struct{}
-}
-
-// tickCount returns the number of ticks in the batch on either decode
-// path.
-func (b *batch) tickCount() int {
-	if b.packed != nil {
-		return b.packed.Len()
-	}
-	return len(b.states)
 }
 
 // shard owns a bounded FIFO queue and a single worker goroutine.
@@ -95,6 +82,17 @@ func (s *Server) enqueueWait(b *batch) error {
 	}
 }
 
+// barrier waits until the session's shard worker has applied every
+// batch accepted before it, by enqueueing an empty batch behind them.
+func (s *Server) barrier(sess *session) error {
+	b := &batch{sess: sess, packed: new(event.PackedBatch), done: make(chan struct{})}
+	if err := s.enqueueWait(b); err != nil {
+		return err
+	}
+	<-b.done
+	return nil
+}
+
 // runShard is the worker loop: it drains the queue until Close closes
 // it, which is what makes shutdown graceful — every accepted batch is
 // fully processed before Close returns.
@@ -122,24 +120,9 @@ func (s *Server) process(sh *shard, b *batch) {
 	dequeued := time.Now()
 	queueWait := dequeued.Sub(b.enqueued)
 	s.metrics.observeStage(obs.StageQueueWait, queueWait)
-	n := b.tickCount()
+	n := b.packed.Len()
 	sess.mu.Lock()
-	shots := sess.batchShots(n)
-	var acc, vio, quar int
-	for i := 0; i < n; i++ {
-		if d := s.cfg.TickDelay; d > 0 {
-			time.Sleep(d)
-		}
-		var a, v, q int
-		if b.packed != nil {
-			a, v, q = sess.stepTick(event.State{}, b.packed.Tick(i), shots, i)
-		} else {
-			a, v, q = sess.stepTick(b.states[i], nil, shots, i)
-		}
-		acc += a
-		vio += v
-		quar += q
-	}
+	acc, vio, quar := sess.stepBatch(b.packed, s.cfg.TickDelay)
 	if acc > 0 {
 		s.metrics.acceptsTotal.Add(uint64(acc))
 	}
