@@ -494,9 +494,14 @@ func benchSummary(schema string, benches []namedBench) ([]byte, error) {
 //	ObsRing…      — StepPacked plus an enabled tracer recording one span
 //	                per tick into the lock-free ring (worst case: real
 //	                deployments record per batch, ~64-4096x fewer).
-//	ObsProvenance… — StepPacked with diagnostics armed (depth 8), so each
-//	                violation assembles full provenance (guard strings,
-//	                valuation, recent window).
+//	ObsProvenance… — StepPacked in detect mode with diagnostics armed
+//	                (depth 8) over fault-free traffic: no step violates,
+//	                so this is the cost of the armed input ring alone.
+//	ObsViolation… — StepPacked in assert mode with diagnostics armed
+//	                (depth 8) over traffic at fault rate 0.2, more than
+//	                32 violations per pass: the cost of recording
+//	                violations raw into the wrapping report ring. Must
+//	                stay 0 allocs/op: provenance is rendered on read.
 //	ObsFlightRec… — StepPacked with tracing disabled but the always-on
 //	                flight recorder armed, noting one event per 4096
 //	                ticks (the per-batch cadence of real deployments).
@@ -515,9 +520,13 @@ func writeObsBenchJSON(path string) error {
 	if err != nil {
 		return err
 	}
+	faulty, err := faultyFigTraffic(figs)
+	if err != nil {
+		return err
+	}
 	var benches []namedBench
-	for _, fig := range figs {
-		fig := fig
+	for fi, fig := range figs {
+		fig, violating := fig, faulty[fi]
 		benches = append(benches,
 			namedBench{"ObsDisabledPackedStep" + fig.name, func(b *testing.B) {
 				eng := fig.prog.NewEngine(nil, monitor.ModeDetect)
@@ -543,6 +552,17 @@ func writeObsBenchJSON(path string) error {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					eng.StepPacked(fig.packed[i%len(fig.packed)])
+				}
+			}},
+			namedBench{"ObsViolationPackedStep" + fig.name, func(b *testing.B) {
+				eng := fig.prog.NewEngine(nil, monitor.ModeAssert)
+				eng.EnableDiagnostics(8)
+				for _, in := range violating {
+					eng.StepPacked(in) // wrap the report ring before timing
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					eng.StepPacked(violating[i%len(violating)])
 				}
 			}},
 			namedBench{"ObsFlightRecPackedStep" + fig.name, func(b *testing.B) {
@@ -586,6 +606,30 @@ func writeObsBenchJSON(path string) error {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
+}
+
+// faultyFigTraffic is each figure's model traffic at fault rate 0.2,
+// packed in its program's support order. Every trace must raise more
+// than 32 assert-mode violations per pass, so a pass wraps the report
+// ring.
+func faultyFigTraffic(figs []figBench) ([][]event.Packed, error) {
+	traces := []trace.Trace{
+		ocp.NewModel(ocp.Config{Gap: 2, Seed: 1, FaultRate: 0.2}).GenerateTrace(4096),
+		ocp.NewModel(ocp.Config{Gap: 2, Seed: 2, FaultRate: 0.2, Burst: true}).GenerateTrace(4096),
+		amba.NewModel(amba.Config{Gap: 2, Seed: 3, FaultRate: 0.2}).GenerateTrace(4096),
+	}
+	out := make([][]event.Packed, len(figs))
+	for i, fig := range figs {
+		out[i] = traces[i].Pack(fig.prog.Support())
+		probe := fig.prog.NewEngine(nil, monitor.ModeAssert)
+		for _, in := range out[i] {
+			probe.StepPacked(in)
+		}
+		if n := probe.Stats().Violations; n <= 32 {
+			return nil, fmt.Errorf("%s: faulty traffic raised %d violations per pass, want more than 32", fig.name, n)
+		}
+	}
+	return out, nil
 }
 
 func structural() {

@@ -70,6 +70,10 @@ func main() {
 		MinKill:     *minKill,
 	}
 
+	if skipped := corpus.SkippedSymbols(); len(skipped) > 0 && !*quiet {
+		fmt.Fprintf(os.Stderr, "skipped %d corpus symbols no chart can name: %s\n",
+			len(skipped), strings.Join(skipped, ", "))
+	}
 	var kept []*mine.Mined
 	var stats []string
 	if *validate {

@@ -327,8 +327,10 @@ func TestClusterDifferentialParity(t *testing.T) {
 	}
 	tc.post(t, survivor, "/cluster/leave", map[string]string{"name": second}, nil)
 
+	// The promotion counter moves after AdoptSession has registered the
+	// session, so wait for both before checking there was exactly one.
 	deadline := time.Now().Add(10 * time.Second)
-	for !tc.nodes[survivor].Server().HasSession(sess.ID) {
+	for !tc.nodes[survivor].Server().HasSession(sess.ID) || tc.nodes[survivor].Status().Promotions == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("standby promotion of %s on %s did not happen", sess.ID, survivor)
 		}

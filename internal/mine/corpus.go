@@ -121,6 +121,25 @@ func (c *Corpus) Symbols() (events, props []string) {
 	return events, props
 }
 
+// SkippedSymbols lists, sorted, the corpus symbols Mine skips because
+// no chart can name them: events and props that are not CESC
+// identifiers, and props named true or false.
+func (c *Corpus) SkippedSymbols() []string {
+	evs, prs := c.Symbols()
+	seen := map[string]bool{}
+	var out []string
+	for i, names := range [][]string{evs, prs} {
+		for _, n := range names {
+			if !mineable(n, i == 1) && !seen[n] {
+				seen[n] = true
+				out = append(out, n)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // maxLine bounds a single NDJSON line (same order as the daemon's ingest
 // limit); longer lines are a corpus error, not a crash.
 const maxLine = 1 << 20

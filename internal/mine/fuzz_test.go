@@ -18,6 +18,7 @@ func FuzzMine(f *testing.F) {
 	f.Add(`{"events":["a","b"],"props":{"p":true}}` + "\n" + `{"props":{"p":false}}` + "\n")
 	f.Add(`{"domain":"fast","state":{"events":["x"]}}` + "\n" + `{"domain":"slow","state":{"events":["y"]}}` + "\n")
 	f.Add("# comment\n{}\n{}\n")
+	f.Add(nonIdentCorpus)
 	f.Add("{not json")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, src string) {

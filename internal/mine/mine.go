@@ -107,7 +107,9 @@ func (m *Mined) Source() string {
 // directly; domain-tagged corpora are mined per clock domain with the
 // domain name as the chart clock. Results are deterministic for a given
 // corpus and config, sorted by chart name, and every emitted chart is
-// guaranteed to round-trip the printer and the parser.
+// guaranteed to round-trip the printer and the parser. Symbols that are
+// not CESC identifiers never reach a chart: Mine skips them, and
+// Corpus.SkippedSymbols lists them.
 func Mine(c *Corpus, cfg Config) ([]*Mined, error) {
 	cfg = cfg.withDefaults()
 	var out []*Mined
@@ -472,10 +474,40 @@ func sanitizeIdent(s string) string {
 	return b.String()
 }
 
-// segmentSymbols lists the event and prop names in the segment set.
+// segmentSymbols lists the event and prop names in the segment set that
+// Mine can put in a chart (see mineable).
 func segmentSymbols(segs []trace.Trace) (events, props []string) {
 	c := Corpus{Segments: segs}
-	return c.Symbols()
+	evs, prs := c.Symbols()
+	for _, e := range evs {
+		if mineable(e, false) {
+			events = append(events, e)
+		}
+	}
+	for _, p := range prs {
+		if mineable(p, true) {
+			props = append(props, p)
+		}
+	}
+	return events, props
+}
+
+// mineable reports whether a corpus symbol can appear in a mined chart:
+// it must lex as one CESC identifier, and a prop must not read as the
+// literal true or false inside a guard. Mine skips every other symbol
+// (see Corpus.SkippedSymbols).
+func mineable(name string, prop bool) bool {
+	if name == "" || (prop && (name == "true" || name == "false")) {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		letter := c == '_' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z')
+		if !letter && (i == 0 || c < '0' || c > '9') {
+			return false
+		}
+	}
+	return true
 }
 
 // checkRoundTrip asserts the mined charts survive print → parse →

@@ -227,3 +227,49 @@ func TestValidateCountsMutants(t *testing.T) {
 		}
 	}
 }
+
+// nonIdentCorpus is the reproducer for symbols the parser cannot read:
+// an event named by digits alone beside a req/ack pattern. Mining it
+// with negated markers once put !00000000000 in a chart, which then
+// failed Mine's own round-trip check.
+const nonIdentCorpus = `{"events":["00000000000"]}` + "\n" +
+	"#000000000000000000\n" +
+	`{"events":["req"]}` + "\n" + `{"events":["ack"]}` + "\n" +
+	`{"events":["req"]}` + "\n" + `{"events":["ack"]}` + "\n"
+
+// TestMineSkipsNonIdentifiers: a symbol that is not a CESC identifier
+// (or a prop named like a literal) is skipped and reported, never put
+// in a marker, and the rest of the corpus still mines.
+func TestMineSkipsNonIdentifiers(t *testing.T) {
+	c, err := ReadNDJSON(strings.NewReader(nonIdentCorpus))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := Mine(c, Config{MinSupport: 2, MaxWindow: 4, Negatives: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) == 0 {
+		t.Fatal("req/ack pattern not mined")
+	}
+	for _, m := range ms {
+		if strings.Contains(m.Source(), "00000000000") {
+			t.Errorf("%s names the skipped symbol:\n%s", m.Name, m.Source())
+		}
+	}
+	if got := c.SkippedSymbols(); len(got) != 1 || got[0] != "00000000000" {
+		t.Errorf("SkippedSymbols = %q, want [00000000000]", got)
+	}
+
+	lit, err := ReadNDJSON(strings.NewReader(strings.Repeat(
+		`{"events":["req"],"props":{"true":true,"p-q":true}}`+"\n"+`{"events":["ack"]}`+"\n\n", 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Mine(lit, Config{MinSupport: 2, MaxWindow: 4, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := lit.SkippedSymbols(); strings.Join(got, ",") != "p-q,true" {
+		t.Errorf("SkippedSymbols = %q, want [p-q true]", got)
+	}
+}

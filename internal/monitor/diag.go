@@ -76,12 +76,13 @@ func (d Diagnostic) String() string {
 const maxDiagnostics = 32
 
 // diagState is the engine's diagnostic machinery: a ring of the last
-// depth inputs plus the retained reports. Map-fed steps (Step) keep a
-// clone of each input in ring; packed steps (StepPacked) copy the input
-// words into the preallocated words ring instead, so a non-violating
-// tick costs one word copy and no allocation. Packed slots are unpacked
-// through the engine's binding only when a violation quotes them (or a
-// snapshot serializes them).
+// depth inputs plus a ring of the retained violation records. Map-fed
+// steps (Step) keep a clone of each input in ring; packed steps
+// (StepPacked) copy the input words into the preallocated words ring
+// instead, so a non-violating tick costs one word copy and no
+// allocation. A violation copies the input ring into its record as it
+// stands — packed words and map references, no unpacking — and the
+// report is rendered only when someone reads it (EachViolation).
 type diagState struct {
 	depth  int
 	ring   []event.State
@@ -94,11 +95,35 @@ type diagState struct {
 	stride   int
 	isPacked []bool
 	// b unpacks packed slots (the engine's program binding).
-	b       *progBinding
-	reports []Diagnostic
+	b *progBinding
+	// recs is the report ring, oldest at recs[head] once it holds
+	// maxDiagnostics records; a new violation overwrites the oldest
+	// record in place, reusing its buffers.
+	recs []violation
+	head int
 	// sup packs offending inputs for Diagnostic.Valuation (nil when the
 	// monitor's support is unavailable).
 	sup *event.Support
+}
+
+// violation is one raw violation record: the step's outcome, the input
+// ring copied as it stood when the violation fired, and the scoreboard
+// slots then live. Its buffers are sized once and reused when the
+// record is overwritten.
+type violation struct {
+	tick, from, trans int
+	// n is the window length (the offending input last); window input
+	// j lives in ring slot (start+j)%depth of the copied ring below.
+	n, start int
+	words    []uint64
+	maps     []event.State
+	isPacked []bool
+	// live holds the scoreboard slots live at the violation; their
+	// names are sorted when the report is rendered.
+	live []int32
+	// done, when non-nil, is a report restored from a snapshot: it is
+	// kept rendered and the fields above are unused.
+	done *Diagnostic
 }
 
 // newDiagState builds an empty ring of the given depth for e, bound to
@@ -130,13 +155,152 @@ func (e *Engine) EnableDiagnostics(depth int) {
 	e.diag = newDiagState(e, depth)
 }
 
-// Diagnostics returns the recorded violation reports (nil when
-// diagnostics are disabled or no violation occurred).
+// Diagnostics renders the retained violation reports, oldest first, into
+// a fresh slice (nil when diagnostics are disabled or no violation
+// occurred). Each distinct packed input is unpacked once per call and
+// its State shared by every report that quotes it (see EachViolation).
+// The reports share their States and guard lists and must not be
+// modified.
 func (e *Engine) Diagnostics() []Diagnostic {
-	if e.diag == nil {
+	if e.diag == nil || len(e.diag.recs) == 0 {
 		return nil
 	}
-	return e.diag.reports
+	out := make([]Diagnostic, 0, len(e.diag.recs))
+	EachViolation(e, func(_ Violation, in event.Packed, s event.State) event.State {
+		if in != nil {
+			return e.diag.b.unpack(in)
+		}
+		return s
+	}, func(v Violation, win []event.State) {
+		d := v.Head()
+		n := len(win)
+		d.Input = win[n-1]
+		if n > 1 {
+			d.Recent = win[: n-1 : n-1]
+		}
+		out = append(out, d)
+	})
+	return out
+}
+
+// Violation is one retained violation record as EachViolation yields
+// it. It renders provenance on demand and is valid only during the
+// callback.
+type Violation struct {
+	e *Engine
+	r *violation
+}
+
+// EachViolation is the one reader of an engine's violation records:
+// Diagnostics renders through it, and so can callers that want a wire
+// form without building the intermediate States. It calls fn for every
+// retained record, oldest first, with the record's input window
+// rendered by render: win[j] is window input j, the offending input
+// last. render gets an input's packed words (valid only during the
+// call), or its State when the input was fed as a map or restored from
+// a snapshot (in == nil). Consecutive violations share window inputs,
+// and an input quoted by any earlier record is quoted by the previous
+// one too (windows end at increasing ticks and never start earlier), so
+// an input the previous record quoted is not rendered again: its
+// rendering is shared, and render runs once per distinct tick (reports
+// restored from a snapshot are rendered on their own).
+func EachViolation[T any](e *Engine, render func(v Violation, in event.Packed, s event.State) T, fn func(v Violation, win []T)) {
+	if e.diag == nil {
+		return
+	}
+	recs := e.diag.recs
+	var prev *violation
+	var prevWin []T
+	for i := range recs {
+		v := Violation{e: e, r: &recs[(e.diag.head+i)%len(recs)]}
+		win := make([]T, v.window())
+		for j := range win {
+			if pj, ok := v.repeats(prev, j); ok {
+				win[j] = prevWin[pj]
+				continue
+			}
+			in, s := v.input(j)
+			win[j] = render(v, in, s)
+		}
+		fn(v, win)
+		prev, prevWin = v.r, win
+	}
+}
+
+// Head renders the report without its input window (Input and Recent
+// are left empty): monitor, tick, grid line, guards, the valuation of
+// the offending input and the live scoreboard entries, sorted.
+func (v Violation) Head() Diagnostic {
+	e, r := v.e, v.r
+	if r.done != nil {
+		d := *r.done
+		d.Input, d.Recent = event.State{}, nil
+		return d
+	}
+	d := Diagnostic{
+		Monitor:    e.m.Name,
+		Tick:       r.tick,
+		FromState:  r.from,
+		GridLine:   gridLine(e.m, r.from),
+		Guards:     e.guardStrings(r.from),
+		Scoreboard: e.sb.liveNames(r.live),
+	}
+	if r.trans >= 0 {
+		d.Guard = e.guardString(r.from, r.trans)
+	}
+	if sup := e.diag.sup; sup != nil {
+		if in, s := v.input(r.n - 1); in != nil {
+			d.Valuation = e.diag.b.valuation(in)
+		} else {
+			d.Valuation = uint64(sup.Valuation(s))
+		}
+	}
+	return d
+}
+
+// AppendSymbols appends every true symbol of a packed window input to
+// dst, in slot order.
+func (v Violation) AppendSymbols(dst []event.Symbol, in event.Packed) []event.Symbol {
+	return v.e.diag.b.appendSymbols(dst, in)
+}
+
+// window returns the number of inputs the record quotes: the recent
+// window plus the offending input, which is last.
+func (v Violation) window() int {
+	if v.r.done != nil {
+		return len(v.r.done.Recent) + 1
+	}
+	return v.r.n
+}
+
+// input returns window input j (0 is the oldest): its packed words, or
+// its State (in == nil) for an input fed as a map or restored from a
+// snapshot. A report restored from a snapshot quotes only States.
+func (v Violation) input(j int) (in event.Packed, s event.State) {
+	d, r := v.e.diag, v.r
+	if done := r.done; done != nil {
+		if j < len(done.Recent) {
+			return nil, done.Recent[j]
+		}
+		return nil, done.Input
+	}
+	i := (r.start + j) % d.depth
+	if r.isPacked[i] {
+		return r.words[i*d.stride : (i+1)*d.stride], event.State{}
+	}
+	return nil, r.maps[i]
+}
+
+// repeats reports whether window input j is input pj of the record
+// prev's window: stepped at the same tick, so its rendering there can be
+// reused.
+func (v Violation) repeats(prev *violation, j int) (pj int, ok bool) {
+	r := v.r
+	if prev == nil || prev.done != nil || r.done != nil {
+		return 0, false
+	}
+	pj = r.tick - (r.n - 1 - j) - (prev.tick - prev.n + 1)
+	return pj, pj >= 0 && pj < prev.n
 }
 
 // observe records a map input before it is consumed.
@@ -172,78 +336,48 @@ func (d *diagState) state(i int) event.State {
 	return d.ring[i]
 }
 
-// slot is state for violation reports: a packed slot is unpacked once
-// and kept as a map slot, so the consecutive violations of a faulty
-// stretch share its State instead of unpacking it again for each recent
-// window. Stored States are never mutated, only replaced.
-func (d *diagState) slot(i int) event.State {
-	if d.isPacked[i] {
-		d.ring[i] = d.state(i)
-		d.isPacked[i] = false
+// record returns the record a new violation overwrites: a fresh one
+// until maxDiagnostics are retained, then the oldest.
+func (d *diagState) record() *violation {
+	if len(d.recs) < maxDiagnostics {
+		if d.recs == nil {
+			d.recs = make([]violation, 0, maxDiagnostics)
+		}
+		d.recs = append(d.recs, violation{})
+		return &d.recs[len(d.recs)-1]
 	}
-	return d.ring[i]
+	r := &d.recs[d.head]
+	d.head = (d.head + 1) % maxDiagnostics
+	return r
 }
 
-// current returns the input just observed: the offending one when a
-// violation is being recorded.
-func (d *diagState) current() event.State {
-	return d.slot((d.next - 1 + d.depth) % d.depth)
-}
-
-// recent returns the inputs before the one just observed, oldest first.
-func (d *diagState) recent() []event.State {
-	var out []event.State
-	n := d.depth
-	if !d.filled {
-		n = d.next
-	}
-	// Exclude the most recent entry (the offending input itself).
-	for i := n - 1; i >= 1; i-- {
-		idx := (d.next - 1 - i + 2*d.depth) % d.depth
-		out = append(out, d.slot(idx))
-	}
-	return out
-}
-
-// push appends d to the bounded report ring, dropping the oldest report
-// once maxDiagnostics are retained.
-func (d *diagState) push(rep Diagnostic) {
-	if len(d.reports) >= maxDiagnostics {
-		copy(d.reports, d.reports[1:])
-		d.reports[len(d.reports)-1] = rep
-		return
-	}
-	d.reports = append(d.reports, rep)
-}
-
-// recordViolation captures a diagnostic if armed. Provenance is rendered
-// from whichever tier executed the step: program-bound engines quote the
-// fired guard decompiled from the compiled program (once per guard, see
-// Program.GuardString), interpreted engines render the guard AST
-// directly — identical strings by construction. The offending input is
-// the ring's newest slot; a packed one is unpacked only here.
+// recordViolation captures a violation record if armed: the step's
+// outcome, a copy of the input ring (the offending input is its newest
+// slot) and the live scoreboard slots. Once the record ring has wrapped
+// this allocates nothing; guards, names and inputs are rendered when the
+// report is read (see Violation).
 func (e *Engine) recordViolation(res StepResult) {
-	if e.diag == nil {
+	d := e.diag
+	if d == nil {
 		return
 	}
-	input := e.diag.current()
-	rep := Diagnostic{
-		Monitor:    e.m.Name,
-		Tick:       res.Tick,
-		FromState:  res.From,
-		GridLine:   gridLine(e.m, res.From),
-		Guards:     e.guardStrings(res.From),
-		Input:      input,
-		Recent:     e.diag.recent(),
-		Scoreboard: e.sb.Live(),
+	r := d.record()
+	if len(r.maps) != d.depth {
+		r.words = make([]uint64, len(d.words))
+		r.maps = make([]event.State, d.depth)
+		r.isPacked = make([]bool, d.depth)
+		r.live = make([]int32, 0, e.sb.Slots())
 	}
-	if res.TransIndex >= 0 {
-		rep.Guard = e.guardString(res.From, res.TransIndex)
+	r.tick, r.from, r.trans, r.done = res.Tick, res.From, res.TransIndex, nil
+	r.n = d.depth
+	if !d.filled {
+		r.n = d.next
 	}
-	if e.diag.sup != nil {
-		rep.Valuation = uint64(e.diag.sup.Valuation(input))
-	}
-	e.diag.push(rep)
+	r.start = (d.next - r.n + d.depth) % d.depth
+	copy(r.words, d.words)
+	copy(r.maps, d.ring)
+	copy(r.isPacked, d.isPacked)
+	r.live = e.sb.appendLive(r.live[:0])
 }
 
 // guardString renders one guard of state s: from the compiled program's
@@ -256,13 +390,14 @@ func (e *Engine) guardString(s, idx int) string {
 }
 
 // guardStrings renders every candidate guard of state s in transition
-// order.
+// order. On the program tier the slice is the Program's own, shared by
+// every report that quotes the state.
 func (e *Engine) guardStrings(s int) []string {
 	if s < 0 || s >= len(e.m.Trans) || len(e.m.Trans[s]) == 0 {
 		return nil
 	}
 	if e.b != nil {
-		return append([]string(nil), e.b.prog.guardTexts()[s]...)
+		return e.b.prog.guardTexts()[s]
 	}
 	out := make([]string, len(e.m.Trans[s]))
 	for i := range e.m.Trans[s] {

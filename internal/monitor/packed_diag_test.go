@@ -2,6 +2,8 @@ package monitor_test
 
 import (
 	"encoding/json"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -95,6 +97,93 @@ func TestStepPackedDiagZeroAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: StepPacked with diagnostics armed: %v allocs per %d-tick pass, want 0",
 				tc.name, allocs, len(ticks))
+		}
+	}
+}
+
+// faultyCase is assert-mode traffic on one of the paper's figures that
+// violates more often than the report ring holds.
+type faultyCase struct {
+	name    string
+	chart   chart.Chart
+	traffic []event.State
+}
+
+// faultyFigCases covers Fig. 5 over random valuations of its support
+// and the Fig. 6-8 protocol models at fault rate 0.2.
+func faultyFigCases() []faultyCase {
+	fig5 := parser.MustParseChart(fig5Src)
+	m5, err := synth.Synthesize(fig5, nil)
+	if err != nil {
+		panic(err)
+	}
+	sup, err := m5.Support()
+	if err != nil {
+		panic(err)
+	}
+	r := rand.New(rand.NewSource(5))
+	random := make([]event.State, 1500)
+	for i := range random {
+		random[i] = sup.State(event.Valuation(r.Uint64() & (sup.NumValuations() - 1)))
+	}
+	return []faultyCase{
+		{"Fig5", fig5, random},
+		{"Fig6OCP", ocp.SimpleReadChart(),
+			ocp.NewModel(ocp.Config{Gap: 1, Seed: 6, FaultRate: 0.2}).GenerateTrace(1500)},
+		{"Fig7OCPBurst", ocp.BurstReadChart(),
+			ocp.NewModel(ocp.Config{Gap: 1, Seed: 7, FaultRate: 0.2, Burst: true}).GenerateTrace(4000)},
+		{"Fig8AHB", amba.TransactionChart(),
+			amba.NewModel(amba.Config{Gap: 1, Seed: 8, FaultRate: 0.2}).GenerateTrace(1500)},
+	}
+}
+
+// TestStepPackedViolationZeroAllocs: recording a violation copies the
+// input ring and the live scoreboard slots into a reused record, so
+// once the report ring has wrapped, an assert-mode pass over faulty
+// traffic allocates nothing. A violation reverses the scenario's own
+// pending adds before it is recorded, so each engine's scoreboard also
+// holds a pinned entry, as a scoreboard shared with other monitors
+// would: every record then captures live slots.
+func TestStepPackedViolationZeroAllocs(t *testing.T) {
+	for _, tc := range faultyFigCases() {
+		m, err := synth.Synthesize(tc.chart, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := monitor.CompileProgram(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := sessionVocab(t, p)
+		e, err := p.NewEngineVocab(nil, monitor.ModeAssert, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.EnableDiagnostics(8)
+		e.Scoreboard().Add(0, "pinned")
+		var ticks []event.Packed
+		for _, s := range tc.traffic {
+			ticks = append(ticks, v.Pack(s))
+		}
+		run := func() {
+			for _, in := range ticks {
+				e.StepPacked(in)
+			}
+		}
+		run() // warm the report ring and the scoreboard's slot storage
+		perPass := e.Stats().Violations
+		if perPass <= 32 {
+			t.Errorf("%s: %d violations per pass, want more than the 32-report ring", tc.name, perPass)
+			continue
+		}
+		for _, d := range e.Diagnostics() {
+			if !slices.Contains(d.Scoreboard, "pinned") {
+				t.Fatalf("%s: tick %d report misses the live scoreboard entry: %v", tc.name, d.Tick, d.Scoreboard)
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+			t.Errorf("%s: %v allocs per %d-tick assert pass (%d violations), want 0",
+				tc.name, allocs, len(ticks), perPass)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -226,6 +227,45 @@ func (b *progBinding) unpack(in event.Packed) event.State {
 		return b.vocab.UnpackState(in)
 	}
 	return b.prog.sup.UnpackState(in)
+}
+
+// appendSymbols appends every true symbol of a StepPacked input to dst,
+// in slot order.
+func (b *progBinding) appendSymbols(dst []event.Symbol, in event.Packed) []event.Symbol {
+	width := b.prog.sup.Len()
+	if b.vocab != nil {
+		width = b.vocab.Len()
+	}
+	for w, word := range in {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			if i >= width {
+				return dst
+			}
+			if b.vocab != nil {
+				dst = append(dst, b.vocab.Symbol(i))
+			} else {
+				dst = append(dst, b.prog.sup.Symbols()[i])
+			}
+		}
+	}
+	return dst
+}
+
+// valuation is Support.Valuation of a StepPacked input, read straight
+// from its words: bit i is support slot i (slots past 63 drop out).
+func (b *progBinding) valuation(in event.Packed) uint64 {
+	var v uint64
+	for i := 0; i < b.prog.sup.Len() && i < 64; i++ {
+		j := i
+		if b.remap != nil {
+			j = int(b.remap[i])
+		}
+		if in.Bit(j) {
+			v |= 1 << uint(i)
+		}
+	}
+	return v
 }
 
 // bind attaches p to the engine, resolving chk events and action events

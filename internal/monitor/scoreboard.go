@@ -201,15 +201,32 @@ func (sb *Scoreboard) Ops() uint64 {
 }
 
 // Live returns the names with positive counts, sorted.
-func (sb *Scoreboard) Live() []string {
+func (sb *Scoreboard) Live() []string { return sb.liveNames(sb.appendLive(nil)) }
+
+// appendLive appends the slots with positive counts to dst — the
+// allocation-free capture a violation record takes.
+func (sb *Scoreboard) appendLive(dst []int32) []int32 {
 	sb.mu.Lock()
 	defer sb.mu.Unlock()
-	var out []string
 	for i, c := range sb.counts {
 		if c > 0 {
-			out = append(out, sb.names[i])
+			dst = append(dst, int32(i))
 		}
 	}
+	return dst
+}
+
+// liveNames returns the names of slots, sorted (nil for none).
+func (sb *Scoreboard) liveNames(slots []int32) []string {
+	if len(slots) == 0 {
+		return nil
+	}
+	sb.mu.Lock()
+	out := make([]string, len(slots))
+	for i, s := range slots {
+		out[i] = sb.names[s]
+	}
+	sb.mu.Unlock()
 	sort.Strings(out)
 	return out
 }

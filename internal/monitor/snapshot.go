@@ -25,7 +25,8 @@ type EngineSnapshot struct {
 }
 
 // DiagSnapshot is the serializable state of an engine's diagnostics:
-// the recent-input ring plus the recorded violation reports.
+// the recent-input ring plus the violation reports, rendered as
+// Diagnostics renders them.
 type DiagSnapshot struct {
 	Depth   int           `json:"depth"`
 	Ring    []event.State `json:"ring"`
@@ -53,7 +54,7 @@ func (e *Engine) Snapshot() EngineSnapshot {
 		for i := range e.diag.ring {
 			d.Ring[i] = cloneMaybe(e.diag.state(i))
 		}
-		for _, r := range e.diag.reports {
+		for _, r := range e.Diagnostics() {
 			d.Reports = append(d.Reports, cloneDiagnostic(r))
 		}
 		snap.Diag = d
@@ -87,14 +88,16 @@ func (e *Engine) Restore(snap EngineSnapshot) error {
 	}
 	// Rebuild the ring exactly as EnableDiagnostics would, then fill it
 	// with the snapshot's map entries: restored inputs stay verbatim until
-	// later steps overwrite their slots.
+	// later steps overwrite their slots. Restored reports are kept as
+	// rendered records; only the newest maxDiagnostics fit the ring.
 	ds := newDiagState(e, d.Depth)
 	ds.next, ds.filled = d.Next, d.Filled
 	for i, s := range d.Ring {
 		ds.ring[i] = cloneMaybe(s)
 	}
-	for _, r := range d.Reports {
-		ds.reports = append(ds.reports, cloneDiagnostic(r))
+	for _, r := range d.Reports[max(0, len(d.Reports)-maxDiagnostics):] {
+		rep := cloneDiagnostic(r)
+		ds.record().done = &rep
 	}
 	e.diag = ds
 	return nil

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/event"
 	"repro/internal/faultinject"
 	"repro/internal/monitor"
+	"repro/internal/obs"
 	"repro/internal/ocp"
 	"repro/internal/parser"
 	"repro/internal/synth"
@@ -582,9 +585,33 @@ func TestSessionPathReporting(t *testing.T) {
 	if len(list.Sessions) != len(cases) {
 		t.Fatalf("GET /sessions listed %d sessions, want %d", len(list.Sessions), len(cases))
 	}
+	perPath := map[string]int{}
 	for _, info := range list.Sessions {
 		if info.Path != want[info.ID] {
 			t.Errorf("GET /sessions: %s path %q, want %q", info.ID, info.Path, want[info.ID])
 		}
+		perPath[info.Path]++
+	}
+	// cescd_session_path counts the same sessions by path.
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.ValidatePromText(string(body)); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, body)
+	}
+	for _, path := range []string{"table", "packed"} {
+		line := fmt.Sprintf("cescd_session_path{path=%q} %d\n", path, perPath[path])
+		if !strings.Contains(string(body), line) {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+	if got := s.Metrics().SessionPaths; got["table"] != perPath["table"] || got["packed"] != perPath["packed"] {
+		t.Errorf("metrics session_paths = %v, want %v", got, perPath)
 	}
 }

@@ -144,6 +144,9 @@ type MetricsSnapshot struct {
 	SessionsDeleted uint64 `json:"sessions_deleted"`
 	SessionsRevived uint64 `json:"sessions_revived"`
 	SessionsCold    int    `json:"sessions_cold"`
+	// SessionPaths counts live sessions by execution path ("table" or
+	// "packed", as GET /sessions reports each one).
+	SessionPaths map[string]int `json:"session_paths"`
 
 	// Memory budget and overload control (zero when unconfigured).
 	MemUsedBytes   int64   `json:"mem_used_bytes"`

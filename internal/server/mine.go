@@ -26,7 +26,9 @@ type minedSpec struct {
 // confidence, max_window, negatives=1, validate=0 (skip the gate and
 // load nothing), replace=1 (overwrite registry names). Responds 201
 // with the mined charts and their gate verdicts, 422 when mining yields
-// nothing that passes, 400 on a malformed corpus or parameters.
+// nothing that passes, 400 on a malformed corpus or parameters. Corpus
+// symbols no chart can name are skipped and listed under
+// skipped_symbols.
 func (s *Server) handleMineSpecs(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
 	if err != nil {
@@ -111,12 +113,15 @@ func (s *Server) handleMineSpecs(w http.ResponseWriter, r *http.Request) {
 		specs[i].Loaded = true
 		loaded = append(loaded, names...)
 	}
+	resp := map[string]any{"mined": specs}
+	if skipped := corpus.SkippedSymbols(); len(skipped) > 0 {
+		resp["skipped_symbols"] = skipped
+	}
 	if len(loaded) == 0 {
-		writeJSON(w, http.StatusUnprocessableEntity, map[string]any{
-			"error": "no mined chart passed the validation gate",
-			"mined": specs,
-		})
+		resp["error"] = "no mined chart passed the validation gate"
+		writeJSON(w, http.StatusUnprocessableEntity, resp)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{"loaded": loaded, "mined": specs})
+	resp["loaded"] = loaded
+	writeJSON(w, http.StatusCreated, resp)
 }

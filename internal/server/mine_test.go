@@ -88,7 +88,8 @@ func TestMineSpecsEndpoint(t *testing.T) {
 }
 
 // TestMineSpecsNothingPasses posts a corpus with no mineable structure
-// and expects 422 with nothing loaded.
+// and expects 422 with nothing loaded; the one symbol no chart can name
+// is reported as skipped.
 func TestMineSpecsNothingPasses(t *testing.T) {
 	_, ts := newTestServer(t, Config{Shards: 1})
 	// One event at irregular, segment-varying offsets: no offset after
@@ -103,7 +104,9 @@ func TestMineSpecsNothingPasses(t *testing.T) {
 			hit[i] = true
 		}
 		for i := 0; i < 12; i++ {
-			if hit[i] {
+			if seg == 0 && i == 0 {
+				fmt.Fprintln(&b, `{"events":["a","9lives"]}`)
+			} else if hit[i] {
 				fmt.Fprintln(&b, `{"events":["a"]}`)
 			} else {
 				fmt.Fprintln(&b, `{"events":[]}`)
@@ -111,11 +114,15 @@ func TestMineSpecsNothingPasses(t *testing.T) {
 		}
 	}
 	var out struct {
-		Error string `json:"error"`
+		Error   string   `json:"error"`
+		Skipped []string `json:"skipped_symbols"`
 	}
 	doJSON(t, "POST", ts.URL+"/specs/mine", b.Bytes(), http.StatusUnprocessableEntity, &out)
 	if out.Error == "" {
 		t.Fatal("expected an error message")
+	}
+	if len(out.Skipped) != 1 || out.Skipped[0] != "9lives" {
+		t.Errorf("skipped_symbols = %q, want [9lives]", out.Skipped)
 	}
 	var specs struct {
 		Specs []struct {

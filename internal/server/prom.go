@@ -38,6 +38,10 @@ func (s *Server) promText() []byte {
 	counter("cescd_accepts_total", "Monitor acceptances across sessions.", float64(snap.AcceptsTotal))
 	counter("cescd_violations_total", "Monitor violations across sessions.", float64(snap.ViolationsTotal))
 	gauge("cescd_sessions_active", "Live sessions.", float64(snap.SessionsActive))
+	w.Family("cescd_session_path", "gauge", "Live sessions by execution path (table or packed).")
+	for _, path := range []string{"table", "packed"} {
+		w.Sample("cescd_session_path", []obs.L{{Name: "path", Value: path}}, float64(snap.SessionPaths[path]))
+	}
 	counter("cescd_sessions_created_total", "Sessions created.", float64(snap.SessionsCreated))
 	counter("cescd_sessions_evicted_total", "Legacy sum of paged + deleted sessions (pre-split dashboards).", float64(snap.SessionsEvicted))
 	counter("cescd_sessions_paged_total", "Sessions checkpointed to the WAL and parked cold.", float64(snap.SessionsPaged))

@@ -339,8 +339,10 @@ func (s *Server) Metrics() MetricsSnapshot {
 	snap.SessionsActive = len(s.sessions)
 	snap.SessionsCold = len(s.paged)
 	perShard := make([]int, len(s.shards))
+	snap.SessionPaths = map[string]int{"table": 0, "packed": 0}
 	for _, sess := range s.sessions {
 		perShard[sess.shard]++
+		snap.SessionPaths[sess.path()]++
 	}
 	s.smu.RUnlock()
 	snap.MemUsedBytes = s.memUsed.Load()

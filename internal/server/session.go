@@ -415,6 +415,52 @@ type DiagnosticJSON struct {
 	Scoreboard []string    `json:"scoreboard,omitempty"`
 }
 
+// diagnosticsJSON renders an engine's retained violation records for
+// the wire, oldest first. A packed window input becomes a StateJSON
+// straight from its true slots in the session vocabulary, once per
+// distinct tick (see monitor.EachViolation); inputs fed as maps and
+// reports restored from a snapshot take the map path (stateJSON).
+func diagnosticsJSON(eng *monitor.Engine) []DiagnosticJSON {
+	var out []DiagnosticJSON
+	var syms []event.Symbol
+	monitor.EachViolation(eng, func(v monitor.Violation, in event.Packed, s event.State) StateJSON {
+		if in == nil {
+			return stateJSON(s)
+		}
+		syms = v.AppendSymbols(syms[:0], in)
+		return symbolsJSON(syms)
+	}, func(v monitor.Violation, win []StateJSON) {
+		dj := diagnosticJSON(v.Head())
+		n := len(win)
+		dj.Input = win[n-1]
+		if n > 1 {
+			dj.Recent = win[: n-1 : n-1]
+		}
+		out = append(out, dj)
+	})
+	return out
+}
+
+// symbolsJSON is stateJSON of the state whose true symbols are syms.
+func symbolsJSON(syms []event.Symbol) StateJSON {
+	var out StateJSON
+	for _, sym := range syms {
+		if sym.Kind == event.KindProp {
+			if out.Props == nil {
+				out.Props = make(map[string]bool)
+			}
+			out.Props[sym.Name] = true
+			continue
+		}
+		if out.Events == nil {
+			out.Events = make([]string, 0, len(syms))
+		}
+		out.Events = append(out.Events, sym.Name)
+	}
+	sort.Strings(out.Events)
+	return out
+}
+
 // diagnosticJSON renders one provenance report for the wire.
 func diagnosticJSON(d monitor.Diagnostic) DiagnosticJSON {
 	dj := DiagnosticJSON{
@@ -490,9 +536,7 @@ func (s *session) verdicts() VerdictsJSON {
 			Quarantined:      sm.quarantined,
 			QuarantineReason: sm.quarantineReason,
 		}
-		for _, d := range sm.eng.Diagnostics() {
-			mv.Diagnostics = append(mv.Diagnostics, diagnosticJSON(d))
-		}
+		mv.Diagnostics = diagnosticsJSON(sm.eng)
 		out.Monitors = append(out.Monitors, mv)
 	}
 	return out
@@ -519,9 +563,7 @@ func (s *session) diagnostics() DiagnosticsJSON {
 	out := DiagnosticsJSON{Session: s.id, Mode: modeString(s.mode)}
 	for _, sm := range s.mons {
 		md := MonitorDiagnosticsJSON{Spec: sm.spec, Violations: sm.eng.Stats().Violations}
-		for _, d := range sm.eng.Diagnostics() {
-			md.Diagnostics = append(md.Diagnostics, diagnosticJSON(d))
-		}
+		md.Diagnostics = diagnosticsJSON(sm.eng)
 		out.Monitors = append(out.Monitors, md)
 	}
 	return out
