@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check crashtest fuzz conformance bench bench-json obs-bench perfgate lanebench minetest minebench soaktest clustertest loadtest clean
+.PHONY: all build vet test race check crashtest fuzz conformance bench bench-json obs-bench perfgate minetest minebench soaktest clustertest loadtest clean
 
 all: check
 
@@ -55,7 +55,7 @@ fuzz:
 
 # Spec-mining suite: the miner and its protocol models under the race
 # detector (golden corpus byte-stability, gate soundness, mutant
-# discrimination, the 64-lane corpus replay), then the cescmine CLI
+# discrimination), then the cescmine CLI
 # mining every checked-in corpus with the validation gate armed — the
 # CI mining smoke.
 minetest:
@@ -103,11 +103,10 @@ obs-bench:
 # BENCH_PR8.json, each with noise-aware thresholds (time must grow >50%
 # AND >50ns to fail; any allocs/op increase fails — that gate protects
 # the 0-alloc packed hot path). PERF_THRESHOLDS.json overrides the gate
-# per benchmark: the bit-sliced lane benches carry an absolute
-# 1280ns/op ceiling (20ns per monitor-tick x 64 lanes), the
-# disabled-tracing and flight-recorder-armed benches a hard 0 allocs/op
-# ceiling (enforced even when a baseline lacks the row), and the
-# noisier I/O-bound benches get wider relative bands. Nonzero exit on
+# per benchmark: the disabled-tracing, flight-recorder-armed, table-step
+# and batch-decode benches carry a hard 0 allocs/op ceiling (enforced
+# even when a baseline lacks the row), and the noisier I/O-bound
+# benches get wider relative bands. Nonzero exit on
 # regression. Every run appends one line to the versioned
 # BENCH_HISTORY.jsonl, so the perf trajectory is tracked across PRs
 # without diffing snapshots.
@@ -118,15 +117,6 @@ perfgate:
 	$(GO) run ./cmd/cescbench -json BENCH_gate.json -history BENCH_HISTORY.jsonl
 	$(GO) run ./cmd/cescbench -compare -thresholds PERF_THRESHOLDS.json -history BENCH_HISTORY.jsonl BENCH_PR8.json BENCH_gate.json
 	rm -f BENCH_gate.json
-
-# Lane smoke: the fast CI rider — runs only the bit-sliced lane and
-# zero-copy batch-decode benches and diffs them against the checked-in
-# BENCH_LANE.json under the same per-benchmark rules (the 1280ns/op lane
-# ceiling and the 0-alloc decode gate).
-lanebench:
-	$(GO) run ./cmd/cescbench -lane-json BENCH_lane_gate.json -history BENCH_HISTORY.jsonl
-	$(GO) run ./cmd/cescbench -compare -thresholds PERF_THRESHOLDS.json BENCH_LANE.json BENCH_lane_gate.json
-	rm -f BENCH_lane_gate.json
 
 # Overload soak: one node with a deliberately small memory budget takes
 # thousands of sessions of Fig. 6 OCP traffic through the retrying

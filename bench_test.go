@@ -269,16 +269,24 @@ func BenchmarkBaselineRuntime(b *testing.B) {
 	b.Run("cesc-synthesized", func(b *testing.B) {
 		benchMonitorOverTrace(b, synth.MustTranslate(ocp.SimpleReadChart(), nil), tr)
 	})
-	b.Run("cesc-compiled", func(b *testing.B) {
+	b.Run("cesc-table", func(b *testing.B) {
 		m := synth.MustTranslate(ocp.SimpleReadChart(), nil)
-		c, err := monitor.Compile(m)
+		prog, err := monitor.CompileProgram(m)
 		if err != nil {
+			b.Fatal(err)
+		}
+		tab, err := monitor.CompileTable(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := prog.NewEngine(nil, monitor.ModeDetect)
+		if err := eng.UseTable(tab); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.Step(tr[i%len(tr)])
+			eng.Step(tr[i%len(tr)])
 		}
 		reportTicksPerSec(b)
 	})

@@ -32,19 +32,15 @@ type benchFile struct {
 
 // gateRule is one per-benchmark override of the global compare gate,
 // loaded from the -thresholds file (a JSON map of benchmark name to
-// rule). A nil field inherits the global flag, so a rule can tighten
-// just one axis — e.g. the bit-sliced lane benches carry a hard ns/op
-// ceiling while the rest of the suite keeps the relative gate.
+// rule). A nil field inherits the global flag, so a rule can change
+// just one axis — e.g. the I/O-bound benches get a wider relative band
+// while the 0-alloc hot paths carry a hard allocs/op ceiling.
 type gateRule struct {
 	// Threshold is the relative ns/op growth allowed (0.5 = +50%).
 	Threshold *float64 `json:"threshold,omitempty"`
 	// FloorNs is the absolute ns/op growth a time regression must also
 	// exceed.
 	FloorNs *float64 `json:"floor_ns,omitempty"`
-	// MaxNsPerOp, when set, fails the gate outright if the new run's
-	// ns/op exceeds it — an absolute budget independent of the old run
-	// (acceptance ceilings, e.g. 20ns/monitor-tick x 64 lanes).
-	MaxNsPerOp *float64 `json:"max_ns_per_op,omitempty"`
 	// MaxAllocsPerOp, when set, fails the gate outright if the new run
 	// allocates more than this per op. Unlike the relative alloc gate it
 	// applies to benchmarks with no baseline too, so a freshly added
@@ -105,7 +101,6 @@ func compareResults(old, new []benchResult, threshold, floorNs float64, override
 			continue
 		}
 		th, fl := threshold, floorNs
-		var maxNs *float64
 		var maxAllocs *int64
 		if r, ok := overrides[o.Name]; ok {
 			if r.Threshold != nil {
@@ -114,13 +109,9 @@ func compareResults(old, new []benchResult, threshold, floorNs float64, override
 			if r.FloorNs != nil {
 				fl = *r.FloorNs
 			}
-			maxNs = r.MaxNsPerOp
 			maxAllocs = r.MaxAllocsPerOp
 		}
 		v := classify(o, n, th, fl)
-		if maxNs != nil && n.NsPerOp > *maxNs && v != verdictAllocRegression {
-			v = verdictTimeRegression
-		}
 		if maxAllocs != nil && n.AllocsPerOp > *maxAllocs {
 			v = verdictAllocRegression
 		}
@@ -131,15 +122,10 @@ func compareResults(old, new []benchResult, threshold, floorNs float64, override
 		if _, ok := oldByName[n.Name]; ok {
 			continue
 		}
-		// No baseline — only the absolute ceilings can judge a new bench.
+		// No baseline — only the allocs/op ceiling can judge a new bench.
 		v := verdictOK
-		if r, ok := overrides[n.Name]; ok {
-			switch {
-			case r.MaxAllocsPerOp != nil && n.AllocsPerOp > *r.MaxAllocsPerOp:
-				v = verdictAllocRegression
-			case r.MaxNsPerOp != nil && n.NsPerOp > *r.MaxNsPerOp:
-				v = verdictTimeRegression
-			}
+		if r, ok := overrides[n.Name]; ok && r.MaxAllocsPerOp != nil && n.AllocsPerOp > *r.MaxAllocsPerOp {
+			v = verdictAllocRegression
 		}
 		rows = append(rows, compareRow{Name: n.Name, New: n, Verdict: v})
 	}
@@ -209,11 +195,7 @@ func runCompare(oldPath, newPath string, threshold, floorNs float64, overrides m
 			continue
 		case r.Old == nil:
 			verdict := "new"
-			switch r.Verdict {
-			case verdictTimeRegression:
-				verdict = "TIME REGRESSION (over ceiling)"
-				regressions++
-			case verdictAllocRegression:
+			if r.Verdict == verdictAllocRegression {
 				verdict = "ALLOC REGRESSION (over ceiling)"
 				regressions++
 			}

@@ -68,51 +68,56 @@ func TestCompareResultsMatching(t *testing.T) {
 }
 
 func TestCompareOverrides(t *testing.T) {
-	old := []benchResult{br("lane", 1000, 0), br("other", 100, 0)}
-	// lane grows 20% — under the global gate, but the override pins an
-	// absolute ceiling of 1100ns/op.
-	new := []benchResult{br("lane", 1200, 0), br("other", 120, 0)}
-	ceiling := 1100.0
-	rows := compareResults(old, new, 0.5, 50, map[string]gateRule{
-		"lane": {MaxNsPerOp: &ceiling},
-	})
+	old := []benchResult{br("decode", 1000, 0), br("other", 100, 0)}
+	// decode grows 20% in time — under the global gate — but allocates
+	// once per op against a hard 0 allocs/op ceiling.
+	new := []benchResult{br("decode", 1200, 1), br("other", 120, 0), br("fresh", 50, 2)}
+	zero := int64(0)
+	rules := map[string]gateRule{
+		"decode": {MaxAllocsPerOp: &zero},
+		"fresh":  {MaxAllocsPerOp: &zero},
+	}
+	rows := compareResults(old, new, 0.5, 50, rules)
 	byName := map[string]compareRow{}
 	for _, r := range rows {
 		byName[r.Name] = r
 	}
-	if v := byName["lane"].Verdict; v != verdictTimeRegression {
-		t.Fatalf("lane over its max_ns_per_op ceiling: verdict %d, want %d", v, verdictTimeRegression)
+	if v := byName["decode"].Verdict; v != verdictAllocRegression {
+		t.Fatalf("decode over its max_allocs_per_op ceiling: verdict %d, want %d", v, verdictAllocRegression)
 	}
 	if v := byName["other"].Verdict; v != verdictOK {
 		t.Fatalf("other (no override) verdict %d, want %d", v, verdictOK)
 	}
-	// A per-benchmark threshold can also loosen the gate: +100% on lane
-	// with threshold 2.0 stays advisory ("slower", absolute floor only)
-	// instead of failing, as long as the ceiling allows it.
-	loose := 3000.0
+	// The ceiling judges a bench with no baseline too.
+	if v := byName["fresh"].Verdict; v != verdictAllocRegression {
+		t.Fatalf("new bench over its ceiling: verdict %d, want %d", v, verdictAllocRegression)
+	}
+	// A per-benchmark threshold can also loosen the gate: +100% on
+	// decode with threshold 2.0 stays advisory ("slower", absolute floor
+	// only) instead of failing.
 	th := 2.0
-	rows = compareResults(old, []benchResult{br("lane", 2000, 0), br("other", 120, 0)}, 0.5, 50,
-		map[string]gateRule{"lane": {Threshold: &th, MaxNsPerOp: &loose}})
+	rows = compareResults(old, []benchResult{br("decode", 2000, 0), br("other", 120, 0)}, 0.5, 50,
+		map[string]gateRule{"decode": {Threshold: &th}})
 	for _, r := range rows {
 		byName[r.Name] = r
 	}
-	if v := byName["lane"].Verdict; v != verdictSlower {
-		t.Fatalf("loosened lane verdict %d, want %d", v, verdictSlower)
+	if v := byName["decode"].Verdict; v != verdictSlower {
+		t.Fatalf("loosened decode verdict %d, want %d", v, verdictSlower)
 	}
 }
 
 func TestLoadThresholds(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rules.json")
-	if err := os.WriteFile(path, []byte(`{"lane": {"max_ns_per_op": 1280, "threshold": 0.25}}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"decode": {"max_allocs_per_op": 0, "threshold": 0.25}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rules, err := loadThresholds(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := rules["lane"]
-	if !ok || r.MaxNsPerOp == nil || *r.MaxNsPerOp != 1280 || r.Threshold == nil || *r.Threshold != 0.25 || r.FloorNs != nil {
-		t.Fatalf("rules[lane] = %+v", r)
+	r, ok := rules["decode"]
+	if !ok || r.MaxAllocsPerOp == nil || *r.MaxAllocsPerOp != 0 || r.Threshold == nil || *r.Threshold != 0.25 || r.FloorNs != nil {
+		t.Fatalf("rules[decode] = %+v", r)
 	}
 	if _, err := loadThresholds(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing thresholds file should error")

@@ -37,13 +37,12 @@ import (
 func main() {
 	jsonPath := flag.String("json", "", "run the micro-benchmarks and write a machine-readable summary (name, ns/op, allocs/op) to this path instead of the narrative tables")
 	obsPath := flag.String("obs-json", "", "run the observability-overhead suite (tracing off / ring-only / full provenance) and write the summary to this path")
-	lanePath := flag.String("lane-json", "", "run only the bit-sliced lane + batch-decode suite (fast; the CI lanebench smoke) and write the summary to this path")
 	minePath := flag.String("mine-json", "", "run only the spec-mining suite (corpus decode, inference, validation gate; the CI mining smoke) and write the summary to this path")
-	compare := flag.Bool("compare", false, "compare two -json/-obs-json/-lane-json summaries: cescbench -compare old.json new.json; exits 1 on regression")
+	compare := flag.Bool("compare", false, "compare two -json/-obs-json summaries: cescbench -compare old.json new.json; exits 1 on regression")
 	threshold := flag.Float64("threshold", 0.5, "relative ns/op growth tolerated by -compare (0.5 = +50%)")
 	floorNs := flag.Float64("floor", 50, "absolute ns/op growth a -compare time regression must also exceed")
-	thresholds := flag.String("thresholds", "", "per-benchmark gate overrides for -compare: JSON map of name to {threshold, floor_ns, max_ns_per_op}")
-	history := flag.String("history", "", "append one JSON line per -json/-obs-json/-lane-json/-compare run to this file (e.g. BENCH_HISTORY.jsonl)")
+	thresholds := flag.String("thresholds", "", "per-benchmark gate overrides for -compare: JSON map of name to {threshold, floor_ns, max_allocs_per_op}")
+	history := flag.String("history", "", "append one JSON line per -json/-obs-json/-mine-json/-compare run to this file (e.g. BENCH_HISTORY.jsonl)")
 	flag.Parse()
 	// recordHistory re-reads the summary a measurement run just wrote (or
 	// a compare run's new side) and appends the history line.
@@ -94,14 +93,6 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *obsPath)
 		recordHistory("obs-json", 0, *obsPath)
-		return
-	}
-	if *lanePath != "" {
-		if err := writeLaneBenchJSON(*lanePath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *lanePath)
-		recordHistory("lane-json", 0, *lanePath)
 		return
 	}
 	if *minePath != "" {
@@ -214,15 +205,6 @@ func writeBenchJSON(path string) error {
 			eng := monitor.NewEngine(m, nil, monitor.ModeDetect)
 			for i := 0; i < b.N; i++ {
 				eng.Step(traffic[i%len(traffic)])
-			}
-		}},
-		{"CompiledStepFig6OCPTraffic", func(b *testing.B) {
-			c, err := monitor.Compile(m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				c.Step(traffic[i%len(traffic)])
 			}
 		}},
 		{"PackedStepFig6OCPTraffic", func(b *testing.B) {
@@ -343,81 +325,29 @@ func writeBenchJSON(path string) error {
 		}},
 	}
 	// TableStep*: StepPacked on a table-bound engine (Engine.UseTable),
-	// the step lane-eligible cescd sessions run.
+	// the step table-eligible cescd sessions run. BatchDecode64Tick*: a
+	// 64-tick NDJSON batch decoded straight into packed words (the
+	// zero-copy ingest path; PERF_THRESHOLDS.json pins it at 0 allocs/op).
 	for _, fig := range figs {
 		tab, err := monitor.CompileTable(fig.mon)
 		if err != nil {
 			return fmt.Errorf("%s: %w", fig.name, err)
 		}
-		benches = append(benches, namedBench{"TableStep" + fig.name + "Traffic", func(b *testing.B) {
-			eng := fig.prog.NewEngine(nil, monitor.ModeDetect)
-			if err := eng.UseTable(tab); err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				eng.StepPacked(fig.packed[i%len(fig.packed)])
-			}
-		}})
-	}
-	lanes, err := laneBenches(figs)
-	if err != nil {
-		return err
-	}
-	benches = append(benches, lanes...)
-	data, err := benchSummary("cescbench/v1", benches)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// laneBenches is the bit-sliced hot-path suite: for each figure, one
-// bench stepping a full 64-lane bank in lockstep (ns/op there is 64
-// monitor-ticks — the 20ns-per-monitor-tick acceptance ceiling is
-// 1280ns/op, enforced via PERF_THRESHOLDS.json) and one bench decoding
-// a 64-tick NDJSON batch straight into bitset lanes (the zero-copy
-// ingest path; the alloc gate pins it at 0 allocs/op).
-func laneBenches(figs []figBench) ([]namedBench, error) {
-	var benches []namedBench
-	for i := range figs {
-		fig := figs[i]
-		tab, err := monitor.CompileTable(fig.mon)
+		dec, body, err := batchDecodeFixture(fig)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", fig.name, err)
+			return fmt.Errorf("%s: %w", fig.name, err)
 		}
 		benches = append(benches,
-			namedBench{"LaneStepUniform64x" + fig.name, func(b *testing.B) {
-				bank := monitor.NewLaneBank(tab)
-				for l := 0; l < monitor.MaxLanes; l++ {
-					if _, ok := bank.Join(); !ok {
-						b.Fatal("lane bank full early")
-					}
+			namedBench{"TableStep" + fig.name + "Traffic", func(b *testing.B) {
+				eng := fig.prog.NewEngine(nil, monitor.ModeDetect)
+				if err := eng.UseTable(tab); err != nil {
+					b.Fatal(err)
 				}
-				sup := tab.Support()
-				vals := make([]uint64, len(fig.traffic))
-				for j, st := range fig.traffic {
-					vals[j] = uint64(sup.Valuation(st))
-				}
-				b.ResetTimer()
-				for j := 0; j < b.N; j++ {
-					bank.StepUniform(vals[j%len(vals)])
+				for i := 0; i < b.N; i++ {
+					eng.StepPacked(fig.packed[i%len(fig.packed)])
 				}
 			}},
 			namedBench{"BatchDecode64Tick" + fig.name, func(b *testing.B) {
-				vocab := event.NewVocabulary()
-				if err := vocab.DeclareSupport(fig.prog.Support()); err != nil {
-					b.Fatal(err)
-				}
-				var body []byte
-				for _, st := range fig.traffic[:64] {
-					line, err := json.Marshal(server.EncodeState(st))
-					if err != nil {
-						b.Fatal(err)
-					}
-					body = append(body, line...)
-					body = append(body, '\n')
-				}
-				dec := event.NewBatchDecoder(vocab)
 				var pb event.PackedBatch
 				if n, err := dec.Decode(body, &pb, 0); err != nil || n != 64 {
 					b.Fatalf("warm decode: n=%d err=%v", n, err)
@@ -431,25 +361,31 @@ func laneBenches(figs []figBench) ([]namedBench, error) {
 			}},
 		)
 	}
-	return benches, nil
-}
-
-// writeLaneBenchJSON runs only the lane suite — the fast CI smoke that
-// `make lanebench` compares against the checked-in BENCH_LANE.json.
-func writeLaneBenchJSON(path string) error {
-	figs, err := figBenches()
-	if err != nil {
-		return err
-	}
-	benches, err := laneBenches(figs)
-	if err != nil {
-		return err
-	}
-	data, err := benchSummary("cescbench/lane/v1", benches)
+	data, err := benchSummary("cescbench/v1", benches)
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
+}
+
+// batchDecodeFixture encodes the first 64 ticks of a figure's traffic as
+// the NDJSON body a client posts (server.EncodeState per line) and
+// returns it with a batch decoder over the figure's support.
+func batchDecodeFixture(fig figBench) (*event.BatchDecoder, []byte, error) {
+	vocab := event.NewVocabulary()
+	if err := vocab.DeclareSupport(fig.prog.Support()); err != nil {
+		return nil, nil, err
+	}
+	var body []byte
+	for _, st := range fig.traffic[:64] {
+		line, err := json.Marshal(server.EncodeState(st))
+		if err != nil {
+			return nil, nil, err
+		}
+		body = append(body, line...)
+		body = append(body, '\n')
+	}
+	return event.NewBatchDecoder(vocab), body, nil
 }
 
 // namedBench is one micro-benchmark of a JSON suite.

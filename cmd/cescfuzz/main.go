@@ -75,8 +75,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cescfuzz: harness error: %v\n", err)
 		os.Exit(2)
 	}
-	fmt.Printf("seed=%d charts=%d traces=%d async=%d server-runs=%d recoveries=%d pageouts=%d mine-runs=%d divergences=%d\n",
-		rep.Seed, rep.Charts, rep.Traces, rep.AsyncCharts, rep.ServerRuns, rep.Recoveries, rep.Pageouts, rep.MineRuns, len(rep.Divergences))
+	fmt.Printf("seed=%d charts=%d traces=%d assert-violating=%d async=%d server-runs=%d recoveries=%d pageouts=%d mine-runs=%d divergences=%d\n",
+		rep.Seed, rep.Charts, rep.Traces, rep.AssertViolating, rep.AsyncCharts, rep.ServerRuns, rep.Recoveries, rep.Pageouts, rep.MineRuns, len(rep.Divergences))
 	for _, d := range rep.Divergences {
 		fmt.Printf("DIVERGENCE %s\n", d)
 		if d.File != "" {

@@ -1,5 +1,5 @@
 // Fast path: bind a synthesized monitor's compiled guard programs to its
-// precomputed transition table (the step cescd runs for lane-eligible
+// precomputed transition table (the step cescd runs for table-eligible
 // sessions) and compare throughput against the interpreted engine and
 // the hand-written checker on identical OCP burst traffic (the
 // experiment E10 ladder, runnable standalone).

@@ -15,65 +15,39 @@ import (
 // checkChart runs the whole differential stack for one (chart, trace)
 // pair and returns a non-nil divergence when any two parties disagree:
 //
-//   - the three execution tiers (interpreted engine, compiled
-//     guard-program engine via both the map and packed step paths, and —
-//     when the monitor's shape admits it — the engine resolving fired
-//     transitions in the precomputed table) must produce identical
-//     accept-tick sequences;
+//   - in detect and in assert mode, the execution tiers (interpreted
+//     engine, compiled guard-program engine via both the map and packed
+//     step paths, and — when the monitor fits the table compiler — the
+//     engine resolving fired transitions in the precomputed table) must
+//     report their mode's verdict at identical ticks (see tierCheck);
 //   - the semantics oracle sandwiches the monitor per chart class:
 //     pattern-shaped charts get the exact-matcher equality and the
 //     history-abstraction subset bounds, NFA-shaped charts get exact
 //     equality, implications get the first-match subset bound.
-func checkChart(c chart.Chart, tr trace.Trace) *Divergence {
+//
+// violated reports whether the assert-mode run raised at least one
+// violation, so a campaign can show its assert checks were not vacuous.
+func checkChart(c chart.Chart, tr trace.Trace) (d *Divergence, violated bool) {
 	m, err := synth.Synthesize(c, nil)
 	if err != nil {
-		return &Divergence{Kind: "synth-error", Detail: err.Error()}
+		return &Divergence{Kind: "synth-error", Detail: err.Error()}, false
 	}
-
-	interp := acceptTicks(monitor.NewEngine(m, nil, monitor.ModeDetect).Step, tr)
-
 	prog, err := monitor.CompileProgram(m)
 	if err != nil {
-		return &Divergence{Kind: "program-compile-error", Detail: err.Error()}
+		return &Divergence{Kind: "program-compile-error", Detail: err.Error()}, false
 	}
-	progTicks := acceptTicks(prog.NewEngine(nil, monitor.ModeDetect).Step, tr)
-	if !sameInts(interp, progTicks) {
-		return &Divergence{Kind: "tier-program",
-			Detail: fmt.Sprintf("interp accepts %v, program accepts %v", interp, progTicks)}
-	}
+	// A monitor too wide for the table compiler has no table tier.
+	tab, _ := monitor.CompileTable(m)
 
-	packedEng := prog.NewEngine(nil, monitor.ModeDetect)
-	sup := prog.Support()
-	packed := acceptTicksResult(func(s event.State) monitor.StepResult {
-		return packedEng.StepPacked(sup.Pack(s))
-	}, tr)
-	if !sameInts(interp, packed) {
-		return &Divergence{Kind: "tier-packed",
-			Detail: fmt.Sprintf("interp accepts %v, packed accepts %v", interp, packed)}
+	interp, d := tierCheck(m, prog, tab, tr, monitor.ModeDetect)
+	if d != nil {
+		return d, false
 	}
-
-	// The table-bound engine is the table path production runs: the same
-	// engine with fired transitions looked up instead of scanned.
-	if tab, err := monitor.CompileTable(m); err == nil {
-		tblEng := prog.NewEngine(nil, monitor.ModeDetect)
-		if err := tblEng.UseTable(tab); err != nil {
-			return &Divergence{Kind: "table-bind-error", Detail: err.Error()}
-		}
-		tblTicks := acceptTicks(tblEng.Step, tr)
-		if !sameInts(interp, tblTicks) {
-			return &Divergence{Kind: "tier-table",
-				Detail: fmt.Sprintf("interp accepts %v, table accepts %v", interp, tblTicks)}
-		}
+	violations, d := tierCheck(m, prog, tab, tr, monitor.ModeAssert)
+	if d != nil {
+		return d, false
 	}
-
-	// The Compiled cursors LaneBank is checked against cannot reverse
-	// pending scoreboard actions on a hard reset the way the engines do, so
-	// lane accepts are only comparable with the engines when no hard reset
-	// can occur (total monitor) or no actions exist to reverse.
-	total, _ := m.Total()
-	if d := laneCheck(m, tr, interp, total || !m.HasActions()); d != nil {
-		return d
-	}
+	violated = len(violations) > 0
 
 	// The tiered detector must agree with whichever tier it selected.
 	if det, err := verif.NewDetector(m); err == nil {
@@ -85,11 +59,55 @@ func checkChart(c chart.Chart, tr trace.Trace) *Divergence {
 		}, tr)
 		if !sameInts(interp, detTicks) {
 			return &Divergence{Kind: "tier-detector",
-				Detail: fmt.Sprintf("interp accepts %v, %s detector accepts %v", interp, det.Tier(), detTicks)}
+				Detail: fmt.Sprintf("interp accepts %v, %s detector accepts %v", interp, det.Tier(), detTicks)}, violated
 		}
 	}
 
-	return oracleCheck(c, m, tr, interp)
+	return oracleCheck(c, m, tr, interp), violated
+}
+
+// tierCheck steps every execution tier over tr in mode and requires the
+// mode's verdict (accepts in detect, violations in assert) at the same
+// ticks as the interpreted engine, whose ticks it returns. The tiers are
+// the paths production runs: the program engine's map Step, its packed
+// StepPacked (with diagnostics armed in assert mode, as assert sessions
+// run it), and, when tab is non-nil, the table-bound engine.
+// Disagreements are "tier-<tier>" divergences in detect mode and
+// "assert-tier-<tier>" in assert mode.
+func tierCheck(m *monitor.Monitor, prog *monitor.Program, tab *monitor.Table, tr trace.Trace, mode monitor.Mode) ([]int, *Divergence) {
+	verdict, kind, verb := monitor.Accepted, "tier-", "accepts"
+	if mode == monitor.ModeAssert {
+		verdict, kind, verb = monitor.Violated, "assert-tier-", "violates"
+	}
+	want := outcomeTicks(monitor.NewEngine(m, nil, mode).Step, tr, verdict)
+
+	packedEng := prog.NewEngine(nil, mode)
+	if mode == monitor.ModeAssert {
+		packedEng.EnableDiagnostics(4)
+	}
+	sup := prog.Support()
+	type tier struct {
+		name string
+		step func(event.State) monitor.StepResult
+	}
+	tiers := []tier{
+		{"program", prog.NewEngine(nil, mode).Step},
+		{"packed", func(s event.State) monitor.StepResult { return packedEng.StepPacked(sup.Pack(s)) }},
+	}
+	if tab != nil {
+		tblEng := prog.NewEngine(nil, mode)
+		if err := tblEng.UseTable(tab); err != nil {
+			return nil, &Divergence{Kind: "table-bind-error", Detail: err.Error()}
+		}
+		tiers = append(tiers, tier{"table", tblEng.Step})
+	}
+	for _, t := range tiers {
+		if got := outcomeTicks(t.step, tr, verdict); !sameInts(want, got) {
+			return nil, &Divergence{Kind: kind + t.name,
+				Detail: fmt.Sprintf("interp %s %v, %s %s %v", verb, want, t.name, verb, got)}
+		}
+	}
+	return want, nil
 }
 
 // oracleCheck sandwiches the monitor's accept ticks between what the
@@ -165,93 +183,17 @@ func oracleCheck(c chart.Chart, m *monitor.Monitor, tr trace.Trace, accepts []in
 	return nil
 }
 
-// laneCheck cross-checks the bit-sliced lane tier. A full LaneBank fed
-// the trace through uniform valuations must agree lane-for-lane — on
-// accept bit, violation bit, and state — with 64 per-session Compiled
-// cursors at every tick (that parity is unconditional: lanes mirror the
-// full chk-bit and action-counter semantics of the table). Lane accept
-// ticks are additionally compared against the interpreted engine only
-// when comparable (no hard reset can undo pending adds, or none exist),
-// since only then do the Compiled cursors match the engines. A second
-// bank joins its lanes staggered, one per tick, so mid-stream membership
-// churn is exercised against cursors created at the same offsets.
-func laneCheck(m *monitor.Monitor, tr trace.Trace, interp []int, comparable bool) *Divergence {
-	tbl, err := monitor.CompileTable(m)
-	if err != nil {
-		return nil // shape not table-compilable; the other tiers cover it
-	}
-	sup := tbl.Support()
-
-	bank := monitor.NewLaneBank(tbl)
-	refs := make([]*monitor.Compiled, 0, monitor.MaxLanes)
-	for i := 0; i < monitor.MaxLanes; i++ {
-		if _, ok := bank.Join(); !ok {
-			return &Divergence{Kind: "lane-join",
-				Detail: fmt.Sprintf("fresh bank refused lane %d", i)}
-		}
-		refs = append(refs, tbl.NewInstance())
-	}
-	var laneAccepts []int
-	for tick, st := range tr {
-		acceptMask, violMask := bank.StepUniform(uint64(sup.Valuation(st)))
-		for l, c := range refs {
-			prevViol := c.Violations()
-			accepted := c.Step(st)
-			if got := acceptMask>>uint(l)&1 == 1; got != accepted {
-				return &Divergence{Kind: "lane-vs-compiled",
-					Detail: fmt.Sprintf("tick %d lane %d: lane accept %v, compiled %v", tick, l, got, accepted)}
-			}
-			if got := violMask>>uint(l)&1 == 1; got != (c.Violations() > prevViol) {
-				return &Divergence{Kind: "lane-vs-compiled",
-					Detail: fmt.Sprintf("tick %d lane %d: violation bit mismatch", tick, l)}
-			}
-			if bank.State(l) != c.State() {
-				return &Divergence{Kind: "lane-vs-compiled",
-					Detail: fmt.Sprintf("tick %d lane %d: state %d, compiled %d", tick, l, bank.State(l), c.State())}
-			}
-		}
-		if acceptMask&1 == 1 {
-			laneAccepts = append(laneAccepts, tick)
-		}
-	}
-	if comparable && !sameInts(interp, laneAccepts) {
-		return &Divergence{Kind: "tier-lane",
-			Detail: fmt.Sprintf("interp accepts %v, lane accepts %v", interp, laneAccepts)}
-	}
-
-	stag := monitor.NewLaneBank(tbl)
-	joined := make([]*monitor.Compiled, 0, monitor.MaxLanes)
-	for tick, st := range tr {
-		if tick < monitor.MaxLanes {
-			if _, ok := stag.Join(); !ok {
-				return &Divergence{Kind: "lane-join",
-					Detail: fmt.Sprintf("staggered bank refused lane %d", tick)}
-			}
-			joined = append(joined, tbl.NewInstance())
-		}
-		acceptMask, _ := stag.StepUniform(uint64(sup.Valuation(st)))
-		for l, c := range joined {
-			accepted := c.Step(st)
-			if got := acceptMask>>uint(l)&1 == 1; got != accepted {
-				return &Divergence{Kind: "lane-staggered",
-					Detail: fmt.Sprintf("tick %d lane %d (joined at %d): lane accept %v, compiled %v",
-						tick, l, l, got, accepted)}
-			}
-		}
-	}
-	return nil
-}
-
 // acceptTicks runs one engine step function over the trace and returns
 // the 0-based ticks at which it accepted.
 func acceptTicks(step func(event.State) monitor.StepResult, tr trace.Trace) []int {
-	return acceptTicksResult(step, tr)
+	return outcomeTicks(step, tr, monitor.Accepted)
 }
 
-func acceptTicksResult(step func(event.State) monitor.StepResult, tr trace.Trace) []int {
+// outcomeTicks returns the 0-based ticks at which step reported o.
+func outcomeTicks(step func(event.State) monitor.StepResult, tr trace.Trace, o monitor.Outcome) []int {
 	var out []int
 	for i, s := range tr {
-		if step(s).Outcome == monitor.Accepted {
+		if step(s).Outcome == o {
 			out = append(out, i)
 		}
 	}

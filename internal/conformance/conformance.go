@@ -2,8 +2,8 @@
 // random well-formed CESC charts and adversarial tick streams
 // (internal/gen), decides ground truth with the slow-but-obviously-
 // correct reference semantics (internal/semantics), and differentially
-// checks every layer of the stack against it — the three detector
-// execution tiers, the exact pattern matcher, both history
+// checks every layer of the stack against it — the execution tiers in
+// detect and assert mode, the exact pattern matcher, both history
 // abstractions, the multi-clock executor, the daemon's NDJSON and VCD
 // ingest paths, and crash-at-every-batch WAL recovery. Divergences are
 // shrunk to minimal (chart, trace) pairs and emitted as replayable
@@ -118,15 +118,18 @@ func (d *Divergence) String() string {
 
 // Report summarizes one campaign.
 type Report struct {
-	Seed        int64
-	Charts      int
-	Traces      int
-	AsyncCharts int
-	ServerRuns  int
-	Recoveries  int
-	Pageouts    int
-	MineRuns    int
-	Divergences []*Divergence
+	Seed   int64
+	Charts int
+	Traces int
+	// AssertViolating counts the traces on which the assert-mode tier
+	// check saw at least one violation (a zero means it checked nothing).
+	AssertViolating int
+	AsyncCharts     int
+	ServerRuns      int
+	Recoveries      int
+	Pageouts        int
+	MineRuns        int
+	Divergences     []*Divergence
 }
 
 // Run executes a campaign. A non-nil error means the harness itself
@@ -151,9 +154,13 @@ func Run(cfg Config) (*Report, error) {
 		for k := 0; k < cfg.TracesPerChart; k++ {
 			tr := g.Trace(c, sup, cfg.TraceLen)
 			rep.Traces++
-			if d := checkChart(c, tr); d != nil {
+			d, violated := checkChart(c, tr)
+			if violated {
+				rep.AssertViolating++
+			}
+			if d != nil {
 				d = finishDivergence(cfg, d, i, c, tr, func(c2 chart.Chart, tr2 trace.Trace) bool {
-					d2 := checkChart(c2, tr2)
+					d2, _ := checkChart(c2, tr2)
 					return d2 != nil && d2.Kind == d.Kind
 				})
 				rep.Divergences = append(rep.Divergences, d)
@@ -230,7 +237,7 @@ func finishDivergence(cfg Config, d *Divergence, idx int, c chart.Chart, tr trac
 		c, tr = gen.Shrink(c, tr, fails)
 		// Re-derive the detail from the shrunk pair so the report
 		// describes what the regression file actually contains.
-		if d2 := checkChart(c, tr); d2 != nil && d2.Kind == d.Kind {
+		if d2, _ := checkChart(c, tr); d2 != nil && d2.Kind == d.Kind {
 			d.Detail = d2.Detail
 		}
 	}

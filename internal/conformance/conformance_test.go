@@ -22,6 +22,9 @@ func TestCampaignFixedSeed(t *testing.T) {
 	if rep.MineRuns == 0 {
 		t.Fatalf("campaign exercised no spec-mining round trips")
 	}
+	if rep.AssertViolating == 0 {
+		t.Fatalf("no campaign trace raised an assert violation; the assert tier checks compared nothing")
+	}
 	for _, d := range rep.Divergences {
 		t.Errorf("%s\n%s", d, d.Source)
 	}

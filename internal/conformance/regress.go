@@ -160,7 +160,8 @@ func ReplayFile(cescPath string) (*Divergence, error) {
 	if err != nil {
 		return nil, fmt.Errorf("reading %s: %w", tracePath, err)
 	}
-	return checkChart(c, tr), nil
+	d, _ := checkChart(c, tr)
+	return d, nil
 }
 
 func readTrace(f *os.File) (trace.Trace, error) {

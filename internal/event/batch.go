@@ -8,7 +8,7 @@ import (
 
 // PackedBatch is a dense column of packed valuations: n ticks, each
 // occupying stride words, in one contiguous backing array. It is the
-// wire-to-lane landing zone of the batch ingest path — the decoder
+// landing zone of the batch ingest path — the decoder
 // writes symbol bits straight into it, and steppers read each tick as a
 // Packed view without copying.
 type PackedBatch struct {
@@ -36,15 +36,6 @@ func (b *PackedBatch) Stride() int { return b.stride }
 // The view is valid until the next Reset.
 func (b *PackedBatch) Tick(i int) Packed {
 	return Packed(b.words[i*b.stride : (i+1)*b.stride])
-}
-
-// Word returns word w of tick i; ticks narrower than w+1 words read as
-// zero. Lane steppers use Word(i, 0) for supports within 64 slots.
-func (b *PackedBatch) Word(i, w int) uint64 {
-	if w >= b.stride {
-		return 0
-	}
-	return b.words[i*b.stride+w]
 }
 
 // AppendState packs s onto v's slots as a new tick at the end of the

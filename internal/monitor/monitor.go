@@ -251,22 +251,6 @@ func (m *Monitor) Total() (bool, error) {
 	return true, nil
 }
 
-// HasActions reports whether any transition carries scoreboard actions.
-// Actionless monitors never touch the shared scoreboard, which widens
-// the set of execution tiers that behave identically on hard resets
-// (the table tier cannot reverse pending actions the way the engines
-// do, so differential checks gate on this).
-func (m *Monitor) HasActions() bool {
-	for _, ts := range m.Trans {
-		for _, t := range ts {
-			if len(t.Actions) > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // stripChk replaces Chk_evt(...) atoms by true, projecting a guard onto
 // its input part.
 func stripChk(e expr.Expr) expr.Expr {

@@ -13,7 +13,7 @@ import (
 
 // Program is a monitor with every guard compiled to a flat expr.Program
 // over the monitor's support slots and scoreboard chk-bit indices. It
-// works at any support width — unlike Compiled there is no 2^bits
+// works at any support width — unlike Table there is no 2^bits
 // transition table, a step still scans the current state's guards — but
 // each guard evaluation is allocation-free bit arithmetic instead of an
 // AST walk over map-backed contexts.
@@ -176,7 +176,7 @@ func (p *Program) guardTexts() [][]string {
 }
 
 // Ops returns the total compiled instruction count (sizing diagnostics;
-// the Program analog of Compiled.TableBytes).
+// the Program analog of Table.TableBytes).
 func (p *Program) Ops() int {
 	n := 0
 	for _, gs := range p.guards {

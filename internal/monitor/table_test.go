@@ -2,96 +2,19 @@ package monitor_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/amba"
 	"repro/internal/chart"
 	"repro/internal/event"
+	"repro/internal/expr"
 	"repro/internal/monitor"
 	"repro/internal/ocp"
 	"repro/internal/parser"
 	"repro/internal/synth"
 )
-
-// TestLaneBankFigMonitors is the acceptance-criterion differential on
-// the paper's protocol figures: 64 lanes of each synthesized monitor,
-// each lane fed its own deterministic model traffic, must match 64
-// independent Compiled instances on every verdict, state, and
-// scoreboard count.
-func TestLaneBankFigMonitors(t *testing.T) {
-	cases := []struct {
-		name    string
-		chart   chart.Chart
-		traffic func(seed int64) []event.State
-	}{
-		{"Fig6OCP", ocp.SimpleReadChart(), func(seed int64) []event.State {
-			return ocp.NewModel(ocp.Config{Gap: 2, Seed: seed}).GenerateTrace(1024)
-		}},
-		{"Fig7OCPBurst", ocp.BurstReadChart(), func(seed int64) []event.State {
-			return ocp.NewModel(ocp.Config{Gap: 2, Seed: seed, Burst: true}).GenerateTrace(1024)
-		}},
-		{"Fig8AHB", amba.TransactionChart(), func(seed int64) []event.State {
-			return amba.NewModel(amba.Config{Gap: 2, Seed: seed}).GenerateTrace(1024)
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			m, err := synth.Synthesize(tc.chart, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tab, err := monitor.CompileTable(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bank := monitor.NewLaneBank(tab)
-			refs := make([]*monitor.Compiled, monitor.MaxLanes)
-			traces := make([][]event.State, monitor.MaxLanes)
-			for i := range refs {
-				if _, ok := bank.Join(); !ok {
-					t.Fatal("bank full")
-				}
-				refs[i] = tab.NewInstance()
-				traces[i] = tc.traffic(int64(i + 1))
-			}
-			var vals [monitor.MaxLanes]uint64
-			for tick := 0; tick < 1024; tick++ {
-				for l := range vals {
-					vals[l] = uint64(tab.Support().Valuation(traces[l][tick]))
-				}
-				acceptMask, violMask := bank.StepAll(&vals)
-				for l, c := range refs {
-					prevViol := c.Violations()
-					accepted := c.Step(traces[l][tick])
-					if got := acceptMask>>uint(l)&1 == 1; got != accepted {
-						t.Fatalf("tick %d lane %d: accept %v, reference %v", tick, l, got, accepted)
-					}
-					if got := violMask>>uint(l)&1 == 1; got != (c.Violations() > prevViol) {
-						t.Fatalf("tick %d lane %d: violation bit mismatch", tick, l)
-					}
-					if bank.State(l) != c.State() {
-						t.Fatalf("tick %d lane %d: state %d, reference %d", tick, l, bank.State(l), c.State())
-					}
-				}
-			}
-			for l, c := range refs {
-				if bank.Accepts(l) != c.Accepts() || bank.Violations(l) != c.Violations() {
-					t.Fatalf("lane %d: counters diverged (%d/%d vs %d/%d)",
-						l, bank.Accepts(l), bank.Violations(l), c.Accepts(), c.Violations())
-				}
-				for _, e := range tab.ChkEvents() {
-					if bank.Count(l, e) != c.Count(e) {
-						t.Fatalf("lane %d: count[%s] %d, reference %d", l, e, bank.Count(l, e), c.Count(e))
-					}
-				}
-			}
-			if bank.Spilled() != 0 {
-				t.Fatal("unexpected spill on fig traffic")
-			}
-		})
-	}
-}
 
 // fig5Src is Figure 5 of the paper: guarded events, an empty grid line,
 // and a causality arrow (so its monitor tests the scoreboard).
@@ -151,6 +74,9 @@ func TestEngineTableParity(t *testing.T) {
 			tab, err := monitor.CompileTable(m)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tab.TableBytes() <= 0 {
+				t.Fatalf("%s: table size not reported", tc.name)
 			}
 			ref := p.NewEngine(nil, mode)
 			onMap := p.NewEngine(nil, mode)
@@ -251,5 +177,29 @@ func TestUseTableRejects(t *testing.T) {
 	}
 	if err := e.UseTable(tab); err != nil {
 		t.Errorf("support-exact vocabulary refused: %v", err)
+	}
+}
+
+// TestCompileRejectsWideMonitors: a guard over 21 events needs a 2^21
+// cell-per-state table, over the 20-bit compile cap.
+func TestCompileRejectsWideMonitors(t *testing.T) {
+	m := monitor.New("wide", "clk", 2)
+	var terms []expr.Expr
+	for i := 0; i < 21; i++ {
+		terms = append(terms, expr.Ev(fmt.Sprintf("w%02d", i)))
+	}
+	m.AddTransition(0, monitor.Transition{To: 1, Guard: expr.And(terms...)})
+	m.AddTransition(0, monitor.Transition{To: 0, Guard: expr.Not(expr.And(terms...))})
+	m.AddTransition(1, monitor.Transition{To: 0, Guard: expr.True})
+	if _, err := monitor.CompileTable(m); err == nil {
+		t.Error("oversized table accepted")
+	}
+}
+
+func TestCompileRejectsInvalidMonitor(t *testing.T) {
+	bad := monitor.New("bad", "clk", 2)
+	bad.AddTransition(0, monitor.Transition{To: 7, Guard: expr.True})
+	if _, err := monitor.CompileTable(bad); err == nil {
+		t.Error("invalid monitor compiled")
 	}
 }

@@ -37,7 +37,7 @@ func laneChart() *chart.SCESC {
 	return c
 }
 
-// newLaneServer builds a server with both the lane-eligible spec and
+// newLaneServer builds a server with both the table-eligible spec and
 // the arrowed (chk-carrying) original loaded.
 func newLaneServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
@@ -161,7 +161,7 @@ func TestFastPathJournalRecoveryParity(t *testing.T) {
 }
 
 // TestLanePageoutRevivalParity checks the snapshot round trip of a
-// lane-eligible session: page it out mid-stream, revive it with more
+// table-eligible session: page it out mid-stream, revive it with more
 // fast-path traffic, and compare against an uninterrupted run.
 func TestLanePageoutRevivalParity(t *testing.T) {
 	dir := t.TempDir()
@@ -180,7 +180,7 @@ func TestLanePageoutRevivalParity(t *testing.T) {
 	sess := createSession(t, ts.URL, "detect", "LaneRead")
 	live, ok := s.session(sess.ID)
 	if !ok || !live.onTable {
-		t.Fatalf("session not lane-eligible (onTable false); fast path preconditions regressed")
+		t.Fatalf("session not table-eligible (onTable false); fast path preconditions regressed")
 	}
 	streamTicks(t, ts.URL, sess.ID, tr[:120], 30)
 	doJSON(t, "POST", fmt.Sprintf("%s/sessions/%s/pageout", ts.URL, sess.ID), nil, http.StatusOK, nil)
@@ -246,7 +246,7 @@ func TestLaneTickCounter(t *testing.T) {
 	}
 }
 
-// TestLaneFaultPlaneParity: with a fault plane wired, a lane-eligible
+// TestLaneFaultPlaneParity: with a fault plane wired, a table-eligible
 // session still steps on the table, and a panic injected mid-batch
 // quarantines it exactly as it quarantines a program-engine session of
 // the same spec (diagnostics armed keep that one off the table) fed the

@@ -74,7 +74,7 @@ func compileChart(name string, c chart.Chart) (sp *Spec, err error) {
 	// Compile the shared guard programs (the width-unlimited fast path
 	// sessions actually execute); failure degrades to interpretation. The
 	// shared table is built here once and cached for the spec's
-	// lane-eligible sessions; monitors too wide for it keep the programs.
+	// table-eligible sessions; monitors too wide for it keep the programs.
 	if cs, err := synth.NewCompiledSpec(m); err == nil {
 		sp.compiled = cs
 		sp.ProgramOps = cs.Program.Ops()

@@ -843,7 +843,7 @@ func (e *decodeError) Error() string { return e.msg }
 
 // decodeBatch packs an NDJSON tick body over vocab — the one decoder of
 // ingest and journal replay. The strict zero-copy BatchDecoder packs the
-// bytes straight into bitset lanes; a body it refuses (unknown field,
+// bytes straight into packed words; a body it refuses (unknown field,
 // indented JSON, oversized batch) goes through encoding/json, tick by
 // tick, which reproduces the endpoint's error responses (400 for a bad
 // tick or an empty body, 413 past maxTicks; 0 means no limit). lenient

@@ -58,7 +58,7 @@ type session struct {
 	// is packed once over it, and every monitor consumes the same packed
 	// valuation per tick. Immutable after newSession.
 	vocab *event.Vocabulary
-	// onTable marks a lane-eligible session: its single monitor's engine
+	// onTable marks a table-eligible session: its single monitor's engine
 	// resolves fired transitions in the spec's shared transition table
 	// (Engine.UseTable) instead of scanning compiled guards. Immutable
 	// after newSession.
@@ -172,7 +172,7 @@ func newSession(id string, mode monitor.Mode, shard int, specs []*Spec, faults *
 		}
 		s.mons = append(s.mons, sm)
 	}
-	// Lane eligibility: one compiled chk-free monitor with diagnostics off.
+	// Table eligibility: one compiled chk-free monitor with diagnostics off.
 	// Its engine then looks fired transitions up in the spec's shared
 	// table; UseTable refuses a vocabulary that is not exactly the table's
 	// support in slot order (a single-spec vocabulary always is).

@@ -32,8 +32,8 @@ func (cs *CompiledSpec) Support() *event.Support { return cs.Program.Support() }
 // Table returns the shared transition table of the monitor, building it
 // on first use (the table tier is optional: wide monitors exceed the
 // compile cap and keep running on the program tier). The result is
-// cached — every lane bank and scalar cursor of the spec shares one
-// table — and safe for concurrent callers.
+// cached — every table-bound engine of the spec shares one table — and
+// safe for concurrent callers.
 func (cs *CompiledSpec) Table() (*monitor.Table, error) {
 	cs.tableOnce.Do(func() {
 		cs.table, cs.tableErr = monitor.CompileTable(cs.Monitor)

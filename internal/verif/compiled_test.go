@@ -13,9 +13,10 @@ import (
 	"repro/internal/synth"
 )
 
-// TestCompiledParityCaseStudies: the table-driven fast path and the
-// interpreted engine accept at identical ticks on every case-study
-// monitor over mixed clean/faulty traffic.
+// TestCompiledParityCaseStudies: the table-bound engine (the step
+// table-eligible cescd sessions run) and the interpreted engine accept
+// at identical ticks on every case-study monitor over mixed clean/faulty
+// traffic.
 func TestCompiledParityCaseStudies(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -44,20 +45,27 @@ func TestCompiledParityCaseStudies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compiled, err := monitor.Compile(m)
+			prog, err := monitor.CompileProgram(m)
 			if err != nil {
 				t.Fatal(err)
 			}
+			tab, err := monitor.CompileTable(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			table := prog.NewEngine(nil, monitor.ModeDetect)
+			if err := table.UseTable(tab); err != nil {
+				t.Fatal(err)
+			}
 			eng := monitor.NewEngine(m, nil, monitor.ModeDetect)
-			tr := tc.trace()
-			for i, s := range tr {
-				got := compiled.Step(s)
+			for i, s := range tc.trace() {
+				got := table.Step(s).Outcome == monitor.Accepted
 				want := eng.Step(s).Outcome == monitor.Accepted
 				if got != want {
-					t.Fatalf("tick %d: compiled=%v engine=%v", i, got, want)
+					t.Fatalf("tick %d: table=%v engine=%v", i, got, want)
 				}
 			}
-			if compiled.Accepts() == 0 {
+			if table.Stats().Accepts == 0 {
 				t.Error("no acceptances exercised")
 			}
 		})
@@ -133,14 +141,13 @@ func randMonitor(r *rand.Rand, sup []event.Symbol, chkPool []string, total bool)
 
 // TestDifferentialEngines cross-checks independent implementations of
 // the paper's transition relation Tr over random monitors and random
-// tick streams: the interpreted AST engine, the compiled guard-program
-// engine (both the map-input Step and the vocabulary-packed StepPacked
-// path, the latter exercising slot remapping), the table-bound program
-// engine, and — on total monitors only — the table-driven Compiled
-// cursor. Compiled does not reverse pending Add_evt entries on a hard
-// reset, so partial monitors, which hard-reset, leave it out; the
-// table-bound engine must agree on both. Verdicts, automaton states,
-// accept counts, and scoreboard contents must agree tick for tick.
+// tick streams, in detect and in assert mode: the interpreted AST
+// engine, the compiled guard-program engine (both the map-input Step and
+// the vocabulary-packed StepPacked path, the latter exercising slot
+// remapping), and the table-bound program engine. Half the monitors are
+// partial, so hard resets (and the reversal of pending Add_evt entries
+// they trigger) are exercised too. Verdicts, automaton states, accept
+// counts, and scoreboard contents must agree tick for tick.
 func TestDifferentialEngines(t *testing.T) {
 	supSyms := []event.Symbol{
 		{Name: "a", Kind: event.KindEvent},
@@ -150,6 +157,7 @@ func TestDifferentialEngines(t *testing.T) {
 	}
 	chkPool := []string{"x", "y"}
 	r := rand.New(rand.NewSource(42))
+	assertViolations := 0
 	for iter := 0; iter < 300; iter++ {
 		total := iter%2 == 0
 		m := randMonitor(r, supSyms, chkPool, total)
@@ -161,10 +169,6 @@ func TestDifferentialEngines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: CompileTable: %v", iter, err)
 		}
-		var cursor *monitor.Compiled
-		if total {
-			cursor = tab.NewInstance()
-		}
 		// Vocabulary with padding symbols declared first, so the packed
 		// slot space differs from the support's and remapping is real.
 		vocab := event.NewVocabulary()
@@ -174,74 +178,65 @@ func TestDifferentialEngines(t *testing.T) {
 			t.Fatalf("iter %d: DeclareSupport: %v", iter, err)
 		}
 
-		ast := monitor.NewEngine(m, nil, monitor.ModeDetect)
-		pmap := prog.NewEngine(nil, monitor.ModeDetect)
-		ppacked, err := prog.NewEngineVocab(nil, monitor.ModeDetect, vocab)
-		if err != nil {
-			t.Fatalf("iter %d: NewEngineVocab: %v", iter, err)
-		}
-		ptable := prog.NewEngine(nil, monitor.ModeDetect)
-		if err := ptable.UseTable(tab); err != nil {
-			t.Fatalf("iter %d: UseTable: %v", iter, err)
-		}
-		engines := map[string]*monitor.Engine{"prog": pmap, "packed": ppacked, "table-engine": ptable}
+		for _, mode := range []monitor.Mode{monitor.ModeDetect, monitor.ModeAssert} {
+			ast := monitor.NewEngine(m, nil, mode)
+			pmap := prog.NewEngine(nil, mode)
+			ppacked, err := prog.NewEngineVocab(nil, mode, vocab)
+			if err != nil {
+				t.Fatalf("iter %d: NewEngineVocab: %v", iter, err)
+			}
+			ptable := prog.NewEngine(nil, mode)
+			if err := ptable.UseTable(tab); err != nil {
+				t.Fatalf("iter %d: UseTable: %v", iter, err)
+			}
+			engines := map[string]*monitor.Engine{"prog": pmap, "packed": ppacked, "table-engine": ptable}
 
-		var buf event.Packed
-		for tick := 0; tick < 120; tick++ {
-			s := event.NewState()
-			for _, sym := range supSyms {
-				if r.Intn(2) == 0 {
-					continue
-				}
-				if sym.Kind == event.KindEvent {
-					s.Events[sym.Name] = true
-				} else {
-					s.Props[sym.Name] = true
-				}
-			}
-			ra := ast.Step(s)
-			buf = vocab.PackInto(s, buf)
-			got := map[string]monitor.StepResult{
-				"prog":         pmap.Step(s),
-				"packed":       ppacked.StepPacked(buf),
-				"table-engine": ptable.Step(s),
-			}
-			for name, rb := range got {
-				if rb != ra {
-					t.Fatalf("iter %d tick %d: %s step diverged on %s:\n ast=%+v\n %s=%+v\nmonitor:\n%s",
-						iter, tick, name, s, ra, name, rb, m)
-				}
-			}
-			if cursor != nil {
-				if tb := cursor.Step(s); tb != (ra.Outcome == monitor.Accepted) {
-					t.Fatalf("iter %d tick %d: compiled accept=%v, ast outcome=%v on %s\nmonitor:\n%s",
-						iter, tick, tb, ra.Outcome, s, m)
-				}
-				if cursor.State() != ast.State() {
-					t.Fatalf("iter %d tick %d: compiled state=%d, ast state=%d", iter, tick, cursor.State(), ast.State())
-				}
-			}
-			for _, e := range chkPool {
-				na := ast.Scoreboard().Count(e)
-				for name, eng := range engines {
-					if n := eng.Scoreboard().Count(e); n != na {
-						t.Fatalf("iter %d tick %d: scoreboard[%s] ast=%d %s=%d", iter, tick, e, na, name, n)
+			var buf event.Packed
+			for tick := 0; tick < 120; tick++ {
+				s := event.NewState()
+				for _, sym := range supSyms {
+					if r.Intn(2) == 0 {
+						continue
+					}
+					if sym.Kind == event.KindEvent {
+						s.Events[sym.Name] = true
+					} else {
+						s.Props[sym.Name] = true
 					}
 				}
-				if cursor != nil {
-					if nt := cursor.Count(e); nt != na {
-						t.Fatalf("iter %d tick %d: scoreboard[%s] ast=%d compiled=%d", iter, tick, e, na, nt)
+				ra := ast.Step(s)
+				buf = vocab.PackInto(s, buf)
+				got := map[string]monitor.StepResult{
+					"prog":         pmap.Step(s),
+					"packed":       ppacked.StepPacked(buf),
+					"table-engine": ptable.Step(s),
+				}
+				for name, rb := range got {
+					if rb != ra {
+						t.Fatalf("iter %d mode %d tick %d: %s step diverged on %s:\n ast=%+v\n %s=%+v\nmonitor:\n%s",
+							iter, mode, tick, name, s, ra, name, rb, m)
+					}
+				}
+				for _, e := range chkPool {
+					na := ast.Scoreboard().Count(e)
+					for name, eng := range engines {
+						if n := eng.Scoreboard().Count(e); n != na {
+							t.Fatalf("iter %d mode %d tick %d: scoreboard[%s] ast=%d %s=%d", iter, mode, tick, e, na, name, n)
+						}
 					}
 				}
 			}
-		}
-		for name, eng := range engines {
-			if eng.Stats() != ast.Stats() {
-				t.Fatalf("iter %d: %s stats %+v, ast %+v", iter, name, eng.Stats(), ast.Stats())
+			for name, eng := range engines {
+				if eng.Stats() != ast.Stats() {
+					t.Fatalf("iter %d mode %d: %s stats %+v, ast %+v", iter, mode, name, eng.Stats(), ast.Stats())
+				}
+			}
+			if mode == monitor.ModeAssert {
+				assertViolations += ast.Stats().Violations
 			}
 		}
-		if cursor != nil && cursor.Accepts() != ast.Stats().Accepts {
-			t.Fatalf("iter %d: accept totals diverged: ast=%d compiled=%d", iter, ast.Stats().Accepts, cursor.Accepts())
-		}
+	}
+	if assertViolations == 0 {
+		t.Fatal("no assert-mode violation raised; the assert half compared nothing")
 	}
 }
