@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check crashtest fuzz conformance bench bench-json obs-bench perfgate minetest minebench soaktest clustertest loadtest clean
+.PHONY: all build vet test race check crashtest fuzz conformance bench perfgate minetest soaktest clustertest loadtest clean
 
 all: check
 
@@ -64,59 +64,28 @@ minetest:
 	$(GO) run ./cmd/cescmine -q -name smoke_ahb -clock ahb_clk testdata/corpus/ahb_cli.ndjson >/dev/null
 	$(GO) run ./cmd/cescmine -q -name smoke_axi -clock aclk testdata/corpus/axi4_burst.ndjson >/dev/null
 
-# Mining-throughput snapshot: corpus decode, inference, and the
-# validation gate on in-process model corpora; refreshes BENCH_MINE.json
-# and appends the run to the versioned BENCH_HISTORY.jsonl.
-minebench:
-	$(GO) run ./cmd/cescbench -mine-json BENCH_MINE.json -history BENCH_HISTORY.jsonl
-
 # Fault-tolerance suite: crash-recovery, quarantine, fault-injection,
 # and client retry/exactly-once tests, under the race detector.
 crashtest:
 	$(GO) test -race -v -run 'Crash|Recovery|Quarantine|Dedup|Journal|Resume|ExactlyOnce|Injected|Truncated' \
 		./internal/server/ ./internal/client/ ./internal/wal/ ./internal/faultinject/ ./internal/trace/
 
-# Runs the in-tree benchmarks and records the machine-readable summary
-# that tracks the perf trajectory across PRs (packed vs map engine, WAL,
-# ingest) into BENCH_PR3.json.
+# Runs the in-tree `go test` benchmarks.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/cescbench -json BENCH_PR3.json
 
-# Machine-readable micro-benchmark summary (name, ns/op, allocs/op).
-bench-json:
-	$(GO) run ./cmd/cescbench -json BENCH_local.json
-
-# Observability-overhead suite: packed stepping with tracing disabled
-# (must stay at 0 allocs/op), with the span ring recording per tick,
-# with full violation provenance armed, and with the flight recorder
-# armed, on the Fig. 6/7/8 workloads — plus the HLC and cross-node span
-# propagation micro-benches. Refreshes the committed BENCH_PR10.json.
-obs-bench:
-	$(GO) run ./cmd/cescbench -obs-json BENCH_PR10.json
-
-# Perf gate: re-run the observability suite against BENCH_PR10.json
-# (which supersedes the PR-5 obs baseline: the same benches plus the
-# flight-recorder and trace-propagation rows, re-recorded so wall-time
-# gates compare against current hardware — BENCH_PR5.json stays in the
-# tree as history) and the full micro-benchmark suite against
-# BENCH_PR8.json, each with noise-aware thresholds (time must grow >50%
-# AND >50ns to fail; any allocs/op increase fails — that gate protects
-# the 0-alloc packed hot path). PERF_THRESHOLDS.json overrides the gate
-# per benchmark: the disabled-tracing, flight-recorder-armed, table-step
-# and batch-decode benches carry a hard 0 allocs/op ceiling (enforced
-# even when a baseline lacks the row), and the noisier I/O-bound
-# benches get wider relative bands. Nonzero exit on
-# regression. Every run appends one line to the versioned
-# BENCH_HISTORY.jsonl, so the perf trajectory is tracked across PRs
-# without diffing snapshots.
+# Perf gate: one run of the cescbench micro-benchmark suite (stepping,
+# ingest, WAL, observability overhead, spec mining), checked against the
+# allocs/op ceilings in PERF_THRESHOLDS.json. Allocation counts do not
+# depend on the machine, so the gate judges a run on any hardware; wall
+# time is judged end to end by `bash cmd/cescload/bench.sh` pairs on one
+# machine. Nonzero exit if a row is over its ceiling or a ceiling names
+# no row. The summary lands in the ignored .bench_build/; every run
+# appends one line to the versioned BENCH_HISTORY.jsonl, so the perf
+# trajectory is tracked across PRs.
 perfgate:
-	$(GO) run ./cmd/cescbench -obs-json BENCH_gate.json -history BENCH_HISTORY.jsonl
-	$(GO) run ./cmd/cescbench -compare -thresholds PERF_THRESHOLDS.json -history BENCH_HISTORY.jsonl BENCH_PR10.json BENCH_gate.json
-	rm -f BENCH_gate.json
-	$(GO) run ./cmd/cescbench -json BENCH_gate.json -history BENCH_HISTORY.jsonl
-	$(GO) run ./cmd/cescbench -compare -thresholds PERF_THRESHOLDS.json -history BENCH_HISTORY.jsonl BENCH_PR8.json BENCH_gate.json
-	rm -f BENCH_gate.json
+	mkdir -p .bench_build
+	$(GO) run ./cmd/cescbench -json .bench_build/perfgate.json -thresholds PERF_THRESHOLDS.json -history BENCH_HISTORY.jsonl
 
 # Overload soak: one node with a deliberately small memory budget takes
 # thousands of sessions of Fig. 6 OCP traffic through the retrying
@@ -145,4 +114,3 @@ loadtest:
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_local.json

@@ -1,11 +1,10 @@
 package main
 
-// Versioned benchmark history: with -history PATH, every -json,
-// -obs-json, and -compare run appends one self-describing JSON line to
-// PATH (conventionally BENCH_HISTORY.jsonl at the repo root, committed
-// alongside the BENCH_*.json snapshots). The file is append-only, so
-// the perf trajectory across PRs is greppable and plottable without
-// reconstructing it from git history.
+// Versioned benchmark history: with -history PATH, every -json run
+// appends one self-describing JSON line holding its result rows to PATH
+// (conventionally the committed BENCH_HISTORY.jsonl at the repo root).
+// The file is append-only, so the perf trajectory across PRs is
+// greppable and plottable without reconstructing it from git history.
 
 import (
 	"encoding/json"
@@ -20,19 +19,15 @@ const historySchema = "cescbench/history/v1"
 type historyEntry struct {
 	Schema string `json:"schema"`
 	Time   string `json:"time"`
-	// Kind is the run flavor: "json", "obs-json", or "compare".
+	// Kind is the run flavor: always "json" now. Older lines also hold
+	// the retired per-part suites and compare runs.
 	Kind string `json:"kind"`
-	// BenchSchema is the schema of the summary involved (e.g.
-	// "cescbench/v1"), so mixed histories stay separable.
+	// BenchSchema is the schema of the summary (e.g. "cescbench/v2"),
+	// so mixed histories stay separable.
 	BenchSchema string `json:"bench_schema,omitempty"`
-	// Files are the summary paths involved: the written file for
-	// json/obs-json, [old, new] for compare.
+	// Files holds the summary path the run wrote.
 	Files []string `json:"files,omitempty"`
-	// Compare-run fields.
-	Regressions int     `json:"regressions,omitempty"`
-	Threshold   float64 `json:"threshold,omitempty"`
-	FloorNs     float64 `json:"floor_ns,omitempty"`
-	// Measurement-run payload: the full result rows.
+	// Results are the run's rows.
 	Results []benchResult `json:"results,omitempty"`
 }
 

@@ -5,12 +5,19 @@
 // construction ablation. `go test -bench=.` gives the rigorous numbers;
 // this command gives the one-shot narrative table.
 //
+// With -json it instead runs the micro-benchmark suite (hot-path
+// stepping, ingest, WAL, observability overhead, spec mining) and
+// writes one machine-readable summary. With -thresholds it also checks
+// that run against the allocs/op ceilings in that file (see gate.go):
+// allocation counts do not depend on the machine, so the check holds
+// on any hardware. Wall time is judged end to end by cmd/cescload.
+//
 //	go run ./cmd/cescbench
-//	go run ./cmd/cescbench -json BENCH_seed.json   # machine-readable micro-benchmarks
-//	go run ./cmd/cescbench -compare old.json new.json   # perf gate (see compare.go)
+//	go run ./cmd/cescbench -json out.json -thresholds PERF_THRESHOLDS.json
 package main
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -35,90 +42,64 @@ import (
 )
 
 func main() {
-	jsonPath := flag.String("json", "", "run the micro-benchmarks and write a machine-readable summary (name, ns/op, allocs/op) to this path instead of the narrative tables")
-	obsPath := flag.String("obs-json", "", "run the observability-overhead suite (tracing off / ring-only / full provenance) and write the summary to this path")
-	minePath := flag.String("mine-json", "", "run only the spec-mining suite (corpus decode, inference, validation gate; the CI mining smoke) and write the summary to this path")
-	compare := flag.Bool("compare", false, "compare two -json/-obs-json summaries: cescbench -compare old.json new.json; exits 1 on regression")
-	threshold := flag.Float64("threshold", 0.5, "relative ns/op growth tolerated by -compare (0.5 = +50%)")
-	floorNs := flag.Float64("floor", 50, "absolute ns/op growth a -compare time regression must also exceed")
-	thresholds := flag.String("thresholds", "", "per-benchmark gate overrides for -compare: JSON map of name to {threshold, floor_ns, max_allocs_per_op}")
-	history := flag.String("history", "", "append one JSON line per -json/-obs-json/-mine-json/-compare run to this file (e.g. BENCH_HISTORY.jsonl)")
+	jsonPath := flag.String("json", "", "run the micro-benchmark suite and write a machine-readable summary (name, ns/op, allocs/op) to this path instead of the narrative tables")
+	thresholds := flag.String("thresholds", "", "with -json: check the run against this JSON map of benchmark name to {max_allocs_per_op}; exits 1 if a row is over its ceiling or a ceiling names no row")
+	history := flag.String("history", "", "with -json: append the run as one JSON line to this file (e.g. BENCH_HISTORY.jsonl)")
 	flag.Parse()
-	// recordHistory re-reads the summary a measurement run just wrote (or
-	// a compare run's new side) and appends the history line.
-	recordHistory := func(kind string, regressions int, files ...string) {
-		if *history == "" {
-			return
+	if *jsonPath == "" {
+		if *thresholds != "" || *history != "" {
+			fatal(fmt.Errorf("-thresholds and -history need -json"))
 		}
-		e := historyEntry{Kind: kind, Files: files}
-		if f, err := loadBenchFile(files[len(files)-1]); err == nil {
-			e.BenchSchema = f.Schema
-			if kind != "compare" {
-				e.Results = f.Results
-			}
+		fmt.Println("# CESC monitor synthesis — reproduction summary")
+		fmt.Println()
+		structural()
+		campaigns()
+		parity()
+		multiclock()
+		ablation()
+		mineSummary()
+		return
+	}
+	var rules map[string]gateRule
+	if *thresholds != "" {
+		var err error
+		if rules, err = loadThresholds(*thresholds); err != nil {
+			fatal(err)
 		}
-		if kind == "compare" {
-			e.Regressions = regressions
-			e.Threshold = *threshold
-			e.FloorNs = *floorNs
-		}
+	}
+	benches, err := suite()
+	if err != nil {
+		fatal(err)
+	}
+	results := runSuite(benches)
+	data, err := json.MarshalIndent(benchFile{Schema: suiteSchema, Results: results}, "", "  ")
+	if err != nil {
+		fatal(err)
+	}
+	if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("wrote %s\n", *jsonPath)
+	if *history != "" {
+		e := historyEntry{Kind: "json", BenchSchema: suiteSchema, Files: []string{*jsonPath}, Results: results}
 		if err := appendHistory(*history, e); err != nil {
 			fatal(err)
 		}
 	}
-	if *compare {
-		if flag.NArg() != 2 {
-			fatal(fmt.Errorf("usage: cescbench -compare old.json new.json"))
-		}
-		var overrides map[string]gateRule
-		if *thresholds != "" {
-			var err error
-			if overrides, err = loadThresholds(*thresholds); err != nil {
-				fatal(err)
-			}
-		}
-		regressions, err := runCompare(flag.Arg(0), flag.Arg(1), *threshold, *floorNs, overrides)
-		if err != nil {
-			fatal(err)
-		}
-		recordHistory("compare", regressions, flag.Arg(0), flag.Arg(1))
-		if regressions > 0 {
-			os.Exit(1)
-		}
-		return
+	if rules != nil && checkCeilings(os.Stdout, results, rules) > 0 {
+		os.Exit(1)
 	}
-	if *obsPath != "" {
-		if err := writeObsBenchJSON(*obsPath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *obsPath)
-		recordHistory("obs-json", 0, *obsPath)
-		return
-	}
-	if *minePath != "" {
-		if err := writeMineBenchJSON(*minePath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *minePath)
-		recordHistory("mine-json", 0, *minePath)
-		return
-	}
-	if *jsonPath != "" {
-		if err := writeBenchJSON(*jsonPath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-		recordHistory("json", 0, *jsonPath)
-		return
-	}
-	fmt.Println("# CESC monitor synthesis — reproduction summary")
-	fmt.Println()
-	structural()
-	campaigns()
-	parity()
-	multiclock()
-	ablation()
-	mineSummary()
+}
+
+// suiteSchema labels the -json summary and its history lines. v2 is the
+// single suite; v1 and the obs/mine schemas in older history lines were
+// its separate parts.
+const suiteSchema = "cescbench/v2"
+
+// benchFile is the -json summary document.
+type benchFile struct {
+	Schema  string        `json:"schema"`
+	Results []benchResult `json:"results"`
 }
 
 // benchResult is one row of the -json summary; the fields mirror what
@@ -132,18 +113,20 @@ type benchResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// walBatchPayload renders a tick batch the way the cescd journal does,
-// so the WAL benchmarks measure realistic record sizes.
-func walBatchPayload(tr []event.State) []byte {
-	ticks := make([]server.StateJSON, len(tr))
-	for i, s := range tr {
-		ticks[i] = server.EncodeState(s)
-	}
-	data, err := json.Marshal(map[string]any{"jseq": 1, "ticks": ticks})
-	if err != nil {
-		fatal(err)
-	}
-	return data
+// walRecBatchRawTraced is the frame kind cescd journals every accepted
+// batch as (server.recBatchRawTraced).
+const walRecBatchRawTraced = 5
+
+// walBatchFrame lays out one recBatchRawTraced payload the way
+// server.journalBatch does: jseq and client seq as little-endian
+// uint64s, a uint16 trace-id length and the id (empty: tracing is off
+// by default), then the batch's NDJSON body.
+func walBatchFrame(body []byte) []byte {
+	payload := make([]byte, 18+len(body))
+	binary.LittleEndian.PutUint64(payload[0:8], 1)
+	binary.LittleEndian.PutUint64(payload[8:16], 1)
+	copy(payload[18:], body)
+	return payload
 }
 
 // figBench is one figure's synthesized monitor plus its model traffic in
@@ -182,13 +165,24 @@ func figBenches() ([]figBench, error) {
 	return out, nil
 }
 
-// writeBenchJSON runs the hot-path micro-benchmarks via testing.Benchmark
-// and writes a BENCH_*.json-style summary.
-func writeBenchJSON(path string) error {
+// suite builds every row of the -json suite without running any of
+// them: hot-path stepping, ingest, WAL, then per figure the table step,
+// batch decode and observability overhead, then fleet tracing and spec
+// mining.
+func suite() ([]namedBench, error) {
 	figs, err := figBenches()
 	if err != nil {
-		return err
+		return nil, err
 	}
+	faulty, err := faultyFigTraffic(figs)
+	if err != nil {
+		return nil, err
+	}
+	_, walBody, err := batchDecodeFixture(figs[0])
+	if err != nil {
+		return nil, err
+	}
+	walPayload := walBatchFrame(walBody)
 	m, prog6, traffic, packed6 := figs[0].mon, figs[0].prog, figs[0].traffic, figs[0].packed
 	m7, prog7, traffic7, packed7 := figs[1].mon, figs[1].prog, figs[1].traffic, figs[1].packed
 	m8, prog8, traffic8, packed8 := figs[2].mon, figs[2].prog, figs[2].traffic, figs[2].packed
@@ -271,8 +265,9 @@ func writeBenchJSON(path string) error {
 				sb.Del("e")
 			}
 		}},
+		// The WAL rows append the frame cescd writes for a 64-tick Fig. 6
+		// batch.
 		{"WALAppend64TickBatch", func(b *testing.B) {
-			payload := walBatchPayload(traffic[:64])
 			dir := b.TempDir()
 			mgr, err := wal.OpenManager(wal.Options{Dir: dir, Sync: wal.SyncNever})
 			if err != nil {
@@ -285,13 +280,12 @@ func writeBenchJSON(path string) error {
 			defer j.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := j.Append(2, payload); err != nil {
+				if err := j.Append(walRecBatchRawTraced, walPayload); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"WALReplay64TickBatches", func(b *testing.B) {
-			payload := walBatchPayload(traffic[:64])
 			dir := b.TempDir()
 			mgr, err := wal.OpenManager(wal.Options{Dir: dir, Sync: wal.SyncNever})
 			if err != nil {
@@ -303,7 +297,7 @@ func writeBenchJSON(path string) error {
 			}
 			const records = 256
 			for i := 0; i < records; i++ {
-				if err := j.Append(2, payload); err != nil {
+				if err := j.Append(walRecBatchRawTraced, walPayload); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -328,14 +322,35 @@ func writeBenchJSON(path string) error {
 	// the step table-eligible cescd sessions run. BatchDecode64Tick*: a
 	// 64-tick NDJSON batch decoded straight into packed words (the
 	// zero-copy ingest path; PERF_THRESHOLDS.json pins it at 0 allocs/op).
-	for _, fig := range figs {
+	//
+	// The Obs* rows measure what the observability plane costs on the
+	// packed stepping hot path, per figure:
+	//
+	//	ObsDisabled…  — StepPacked plus a disabled Tracer.Record call per
+	//	                tick: the production default. Must stay 0 allocs/op,
+	//	                within noise of the plain PackedStep numbers.
+	//	ObsProvenance… — StepPacked in detect mode with diagnostics armed
+	//	                (depth 8) over fault-free traffic: no step violates,
+	//	                so this is the cost of the armed input ring alone.
+	//	ObsViolation… — StepPacked in assert mode with diagnostics armed
+	//	                (depth 8) over traffic at fault rate 0.2, more than
+	//	                32 violations per pass: the cost of recording
+	//	                violations raw into the wrapping report ring. Must
+	//	                stay 0 allocs/op: provenance is rendered on read.
+	//	ObsFlightRec… — StepPacked with tracing disabled but the always-on
+	//	                flight recorder armed, noting one event per 4096
+	//	                ticks (the per-batch cadence of real deployments).
+	//	                Must stay 0 allocs/op: arming the black box is free
+	//	                on the hot path.
+	for fi, fig := range figs {
+		violating := faulty[fi]
 		tab, err := monitor.CompileTable(fig.mon)
 		if err != nil {
-			return fmt.Errorf("%s: %w", fig.name, err)
+			return nil, fmt.Errorf("%s: %w", fig.name, err)
 		}
 		dec, body, err := batchDecodeFixture(fig)
 		if err != nil {
-			return fmt.Errorf("%s: %w", fig.name, err)
+			return nil, fmt.Errorf("%s: %w", fig.name, err)
 		}
 		benches = append(benches,
 			namedBench{"TableStep" + fig.name + "Traffic", func(b *testing.B) {
@@ -359,111 +374,6 @@ func writeBenchJSON(path string) error {
 					}
 				}
 			}},
-		)
-	}
-	data, err := benchSummary("cescbench/v1", benches)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// batchDecodeFixture encodes the first 64 ticks of a figure's traffic as
-// the NDJSON body a client posts (server.EncodeState per line) and
-// returns it with a batch decoder over the figure's support.
-func batchDecodeFixture(fig figBench) (*event.BatchDecoder, []byte, error) {
-	vocab := event.NewVocabulary()
-	if err := vocab.DeclareSupport(fig.prog.Support()); err != nil {
-		return nil, nil, err
-	}
-	var body []byte
-	for _, st := range fig.traffic[:64] {
-		line, err := json.Marshal(server.EncodeState(st))
-		if err != nil {
-			return nil, nil, err
-		}
-		body = append(body, line...)
-		body = append(body, '\n')
-	}
-	return event.NewBatchDecoder(vocab), body, nil
-}
-
-// namedBench is one micro-benchmark of a JSON suite.
-type namedBench struct {
-	name string
-	fn   func(b *testing.B)
-}
-
-// benchSummary runs each benchmark via testing.Benchmark and renders the
-// machine-readable summary document.
-func benchSummary(schema string, benches []namedBench) ([]byte, error) {
-	out := struct {
-		Schema  string        `json:"schema"`
-		Results []benchResult `json:"results"`
-	}{Schema: schema}
-	for _, bm := range benches {
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			bm.fn(b)
-		})
-		out.Results = append(out.Results, benchResult{
-			Name:        bm.name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// writeObsBenchJSON measures what the observability plane costs on the
-// packed stepping hot path, per figure, at three levels:
-//
-//	ObsDisabled…  — StepPacked plus a disabled Tracer.Record call per
-//	                tick: the production default. Must stay 0 allocs/op,
-//	                within noise of the plain PackedStep numbers.
-//	ObsRing…      — StepPacked plus an enabled tracer recording one span
-//	                per tick into the lock-free ring (worst case: real
-//	                deployments record per batch, ~64-4096x fewer).
-//	ObsProvenance… — StepPacked in detect mode with diagnostics armed
-//	                (depth 8) over fault-free traffic: no step violates,
-//	                so this is the cost of the armed input ring alone.
-//	ObsViolation… — StepPacked in assert mode with diagnostics armed
-//	                (depth 8) over traffic at fault rate 0.2, more than
-//	                32 violations per pass: the cost of recording
-//	                violations raw into the wrapping report ring. Must
-//	                stay 0 allocs/op: provenance is rendered on read.
-//	ObsFlightRec… — StepPacked with tracing disabled but the always-on
-//	                flight recorder armed, noting one event per 4096
-//	                ticks (the per-batch cadence of real deployments).
-//	                Must stay 0 allocs/op: arming the black box is free
-//	                on the hot path.
-//
-// Two fleet-tracing micro-benches ride along, not per figure:
-//
-//	ObsTraceHLCNow — one hybrid-logical-clock reading, the cost added to
-//	                every enabled span and every cross-node hop.
-//	ObsTracePropagationRecord — an enabled Record carrying the full
-//	                cross-node propagation fields (node, parent token,
-//	                kind, HLC), the per-batch cost when tracing is on.
-func writeObsBenchJSON(path string) error {
-	figs, err := figBenches()
-	if err != nil {
-		return err
-	}
-	faulty, err := faultyFigTraffic(figs)
-	if err != nil {
-		return err
-	}
-	var benches []namedBench
-	for fi, fig := range figs {
-		fig, violating := fig, faulty[fi]
-		benches = append(benches,
 			namedBench{"ObsDisabledPackedStep" + fig.name, func(b *testing.B) {
 				eng := fig.prog.NewEngine(nil, monitor.ModeDetect)
 				tr := obs.NewTracer(1, 0)
@@ -471,15 +381,6 @@ func writeObsBenchJSON(path string) error {
 				for i := 0; i < b.N; i++ {
 					eng.StepPacked(fig.packed[i%len(fig.packed)])
 					tr.Record(0, obs.Span{Stage: obs.StageStep})
-				}
-			}},
-			namedBench{"ObsRingPackedStep" + fig.name, func(b *testing.B) {
-				eng := fig.prog.NewEngine(nil, monitor.ModeDetect)
-				tr := obs.NewTracer(1, 1024)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					eng.StepPacked(fig.packed[i%len(fig.packed)])
-					tr.Record(0, obs.Span{Stage: obs.StageStep, Session: "bench", Ticks: 1})
 				}
 			}},
 			namedBench{"ObsProvenancePackedStep" + fig.name, func(b *testing.B) {
@@ -516,6 +417,13 @@ func writeObsBenchJSON(path string) error {
 			}},
 		)
 	}
+	// Two fleet-tracing rows, not per figure:
+	//
+	//	ObsTraceHLCNow — one hybrid-logical-clock reading, the cost added to
+	//	                every enabled span and every cross-node hop.
+	//	ObsTracePropagationRecord — an enabled Record carrying the full
+	//	                cross-node propagation fields (node, parent token,
+	//	                kind, HLC), the per-batch cost when tracing is on.
 	benches = append(benches,
 		namedBench{"ObsTraceHLCNow", func(b *testing.B) {
 			var clk obs.HLC
@@ -537,11 +445,53 @@ func writeObsBenchJSON(path string) error {
 			}
 		}},
 	)
-	data, err := benchSummary("cescbench/obs/v1", benches)
-	if err != nil {
-		return err
+	benches = append(benches, mineBenches()...)
+	return benches, nil
+}
+
+// batchDecodeFixture encodes the first 64 ticks of a figure's traffic as
+// the NDJSON body a client posts (server.EncodeState per line) and
+// returns it with a batch decoder over the figure's support.
+func batchDecodeFixture(fig figBench) (*event.BatchDecoder, []byte, error) {
+	vocab := event.NewVocabulary()
+	if err := vocab.DeclareSupport(fig.prog.Support()); err != nil {
+		return nil, nil, err
 	}
-	return os.WriteFile(path, data, 0o644)
+	var body []byte
+	for _, st := range fig.traffic[:64] {
+		line, err := json.Marshal(server.EncodeState(st))
+		if err != nil {
+			return nil, nil, err
+		}
+		body = append(body, line...)
+		body = append(body, '\n')
+	}
+	return event.NewBatchDecoder(vocab), body, nil
+}
+
+// namedBench is one micro-benchmark of a JSON suite.
+type namedBench struct {
+	name string
+	fn   func(b *testing.B)
+}
+
+// runSuite runs each benchmark via testing.Benchmark.
+func runSuite(benches []namedBench) []benchResult {
+	results := make([]benchResult, 0, len(benches))
+	for _, bm := range benches {
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			bm.fn(b)
+		})
+		results = append(results, benchResult{
+			Name:        bm.name,
+			Iterations:  r.N,
+			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+			AllocsPerOp: r.AllocsPerOp(),
+			BytesPerOp:  r.AllocedBytesPerOp(),
+		})
+	}
+	return results
 }
 
 // faultyFigTraffic is each figure's model traffic at fault rate 0.2,

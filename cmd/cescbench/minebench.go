@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"testing"
 
@@ -108,15 +107,6 @@ func encodeStateJSON(st event.State) []byte {
 		Props  map[string]bool `json:"props,omitempty"`
 	}{Events: events, Props: st.Props})
 	return line
-}
-
-// writeMineBenchJSON runs only the mining suite — the CI mining smoke.
-func writeMineBenchJSON(path string) error {
-	data, err := benchSummary("cescbench/mine/v1", mineBenches())
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }
 
 // mineSummary prints the narrative table variant used by the default

@@ -29,9 +29,6 @@ func (b *PackedBatch) Reset(slots int) {
 // Len returns the number of ticks in the batch.
 func (b *PackedBatch) Len() int { return b.n }
 
-// Stride returns the number of words per tick.
-func (b *PackedBatch) Stride() int { return b.stride }
-
 // Tick returns tick i as a Packed view into the batch's backing array.
 // The view is valid until the next Reset.
 func (b *PackedBatch) Tick(i int) Packed {

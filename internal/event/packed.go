@@ -13,9 +13,6 @@ type Packed []uint64
 // PackedWords returns the number of 64-bit words needed for n slots.
 func PackedWords(n int) int { return (n + 63) / 64 }
 
-// NewPacked returns an all-false valuation with room for n slots.
-func NewPacked(n int) Packed { return make(Packed, PackedWords(n)) }
-
 // Bit reports the truth value of slot i (false when out of range, so a
 // narrow Packed behaves like a valuation padded with false).
 func (p Packed) Bit(i int) bool {
@@ -28,9 +25,6 @@ func (p Packed) Bit(i int) bool {
 
 // Set makes slot i true. Slot i must be within the packed width.
 func (p Packed) Set(i int) { p[i>>6] |= 1 << uint(i&63) }
-
-// Clear makes slot i false. Slot i must be within the packed width.
-func (p Packed) Clear(i int) { p[i>>6] &^= 1 << uint(i&63) }
 
 // Zero resets every slot to false, keeping the allocation.
 func (p Packed) Zero() {

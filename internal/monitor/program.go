@@ -59,8 +59,8 @@ func (r progResolver) ChkSlot(name string) int {
 	return -1
 }
 
-// CompileProgram compiles every guard of m. Unlike Compile it has no
-// support-width limit; it fails only on invalid monitors, guards deeper
+// CompileProgram compiles every guard of m. Unlike CompileTable it has
+// no support-width limit; it fails only on invalid monitors, guards deeper
 // than expr.MaxProgramDepth, or more than 64 distinct Chk_evt events.
 func CompileProgram(m *Monitor) (*Program, error) {
 	if err := m.Validate(); err != nil {
@@ -115,9 +115,6 @@ func (p *Program) Monitor() *Monitor { return p.m }
 // Support returns the monitor's input support; packed inputs fed to a
 // plain NewEngine must use this slot order.
 func (p *Program) Support() *event.Support { return p.sup }
-
-// ChkNames returns the scoreboard events the guards test, sorted.
-func (p *Program) ChkNames() []string { return append([]string(nil), p.chkNames...) }
 
 // progNamer renders a program's slots back to names — the inverse of
 // progResolver, used to decompile guards for violation provenance.

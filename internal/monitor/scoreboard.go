@@ -69,13 +69,6 @@ func (sb *Scoreboard) Slots() int {
 	return len(sb.names)
 }
 
-// SlotName returns the event name interned at slot i.
-func (sb *Scoreboard) SlotName(i int32) string {
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	return sb.names[i]
-}
-
 // Add records one occurrence of each named event at global time now.
 func (sb *Scoreboard) Add(now int64, events ...string) {
 	sb.mu.Lock()

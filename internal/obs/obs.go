@@ -73,9 +73,6 @@ type Span struct {
 	HLC    uint64 `json:"hlc,omitempty"`
 }
 
-// Token renders this span's parent token for downstream hops.
-func (sp *Span) Token() string { return ParentToken(sp.Node, sp.HLC) }
-
 // Tracer captures spans into per-shard lock-free rings. The zero value
 // is a disabled tracer; build a live one with NewTracer. All methods are
 // safe for concurrent use from any number of goroutines.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/chart"
-	"repro/internal/event"
 	"repro/internal/expr"
 )
 
@@ -736,17 +735,4 @@ func (p *parser) resolveGuardIdent(name string) expr.Expr {
 		return expr.Ev(name)
 	}
 	return expr.Pr(name)
-}
-
-// Kinds returns the symbol kinds declared or inferred while parsing, for
-// downstream tooling.
-func (p *parser) Kinds() map[string]event.Kind {
-	out := make(map[string]event.Kind)
-	for n := range p.props {
-		out[n] = event.KindProp
-	}
-	for n := range p.events {
-		out[n] = event.KindEvent
-	}
-	return out
 }

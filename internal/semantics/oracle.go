@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/chart"
-	"repro/internal/expr"
 	"repro/internal/trace"
 )
 
@@ -204,17 +203,4 @@ func (o *Oracle) matchSet(c chart.Chart, from int) map[int]bool {
 		// No single-trace window semantics; see AsyncSatisfied.
 	}
 	return out
-}
-
-// WindowSatisfiable reports whether any window of any trace could
-// satisfy c, by checking every grid line of every leaf for
-// satisfiability. Unsatisfiable leaves under an Alt are fine; this is a
-// cheap generator-side sanity check, not part of the run semantics.
-func WindowSatisfiable(sc *chart.SCESC) bool {
-	for _, line := range sc.Lines {
-		if sat, err := expr.SatAuto(line.Expr()); err != nil || !sat {
-			return false
-		}
-	}
-	return true
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/chart"
 	"repro/internal/event"
 	"repro/internal/monitor"
 )
@@ -49,14 +48,4 @@ func NewCompiledSpec(m *monitor.Monitor) (*CompiledSpec, error) {
 		return nil, fmt.Errorf("synth: compiling %q: %w", m.Name, err)
 	}
 	return &CompiledSpec{Monitor: m, Program: p}, nil
-}
-
-// CompileSpec synthesizes a single-clock chart and compiles it into the
-// shared immutable form.
-func CompileSpec(c chart.Chart, opts *Options) (*CompiledSpec, error) {
-	m, err := Synthesize(c, opts)
-	if err != nil {
-		return nil, err
-	}
-	return NewCompiledSpec(m)
 }

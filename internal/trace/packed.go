@@ -13,14 +13,3 @@ func (t Trace) Pack(sup *event.Support) []event.Packed {
 	}
 	return out
 }
-
-// PackVocab projects every state of the trace onto a vocabulary's slots
-// (the union-interner form sessions use when one packed tick feeds many
-// monitors).
-func (t Trace) PackVocab(v *event.Vocabulary) []event.Packed {
-	out := make([]event.Packed, len(t))
-	for i, s := range t {
-		out[i] = v.Pack(s)
-	}
-	return out
-}
