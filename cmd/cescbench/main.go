@@ -183,6 +183,7 @@ func suite() ([]namedBench, error) {
 		return nil, err
 	}
 	walPayload := walBatchFrame(walBody)
+	ticks6 := fixtureTicks(figs[0])
 	m, prog6, traffic, packed6 := figs[0].mon, figs[0].prog, figs[0].traffic, figs[0].packed
 	m7, prog7, traffic7, packed7 := figs[1].mon, figs[1].prog, figs[1].traffic, figs[1].packed
 	m8, prog8, traffic8, packed8 := figs[2].mon, figs[2].prog, figs[2].traffic, figs[2].packed
@@ -255,6 +256,21 @@ func suite() ([]namedBench, error) {
 					b.Fatal(err)
 				}
 				buf = vocab.PackInto(tick.ToState(), buf)
+			}
+		}},
+		{"EncodeTicks64TickFig6OCP", func(b *testing.B) {
+			// The client's NDJSON encoder over the 64 ticks the
+			// BatchDecode64TickFig6OCP body holds, into a reused buffer.
+			var buf []byte
+			for _, tk := range ticks6 {
+				buf = server.AppendTick(buf, tk)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = buf[:0]
+				for _, tk := range ticks6 {
+					buf = server.AppendTick(buf, tk)
+				}
 			}
 		}},
 		{"ScoreboardAddChkDel", func(b *testing.B) {
@@ -449,22 +465,27 @@ func suite() ([]namedBench, error) {
 	return benches, nil
 }
 
-// batchDecodeFixture encodes the first 64 ticks of a figure's traffic as
-// the NDJSON body a client posts (server.EncodeState per line) and
-// returns it with a batch decoder over the figure's support.
+// fixtureTicks is the first 64 ticks of a figure's traffic in the
+// NDJSON wire form.
+func fixtureTicks(fig figBench) []server.StateJSON {
+	ticks := make([]server.StateJSON, 64)
+	for i, st := range fig.traffic[:64] {
+		ticks[i] = server.EncodeState(st)
+	}
+	return ticks
+}
+
+// batchDecodeFixture encodes fixtureTicks as the NDJSON body a client
+// posts (server.AppendTick per line) and returns it with a batch decoder
+// over the figure's support.
 func batchDecodeFixture(fig figBench) (*event.BatchDecoder, []byte, error) {
 	vocab := event.NewVocabulary()
 	if err := vocab.DeclareSupport(fig.prog.Support()); err != nil {
 		return nil, nil, err
 	}
 	var body []byte
-	for _, st := range fig.traffic[:64] {
-		line, err := json.Marshal(server.EncodeState(st))
-		if err != nil {
-			return nil, nil, err
-		}
-		body = append(body, line...)
-		body = append(body, '\n')
+	for _, tk := range fixtureTicks(fig) {
+		body = server.AppendTick(body, tk)
 	}
 	return event.NewBatchDecoder(vocab), body, nil
 }

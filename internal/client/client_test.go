@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -396,5 +397,35 @@ func TestTraceIDEndToEnd(t *testing.T) {
 	snap := srv.Metrics()
 	if snap.TraceSpans == 0 {
 		t.Fatal("server recorded no spans")
+	}
+}
+
+// TestEncodeTicksBody checks the batch body is json.Encoder's NDJSON for
+// the same ticks, written into one buffer the size hint made big enough.
+func TestEncodeTicksBody(t *testing.T) {
+	var ticks []server.StateJSON
+	for _, st := range ocp.NewModel(ocp.Config{Gap: 1, Seed: 3, FaultRate: 0.2}).GenerateTrace(256) {
+		ticks = append(ticks, server.EncodeState(st))
+	}
+	ticks = append(ticks, server.StateJSON{}, server.StateJSON{
+		Events: []string{"a"}, Props: map[string]bool{"up": true, "down": false},
+	})
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for _, tk := range ticks {
+		if err := enc.Encode(tk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body := encodeTicks(ticks)
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("encodeTicks differs from json.Encoder:\n got %q\nwant %q", body, want.Bytes())
+	}
+	hint := 0
+	for _, tk := range ticks {
+		hint += tickSizeHint(tk)
+	}
+	if hint < len(body) || cap(body) != hint {
+		t.Fatalf("size hint %d, buffer cap %d for a %d-byte body: want one buffer the hint fits", hint, cap(body), len(body))
 	}
 }

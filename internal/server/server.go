@@ -841,18 +841,29 @@ type decodeError struct {
 
 func (e *decodeError) Error() string { return e.msg }
 
+// errBatchTooLarge is the 413 of a batch past maxTicks ticks.
+func errBatchTooLarge(maxTicks int) *decodeError {
+	return &decodeError{http.StatusRequestEntityTooLarge,
+		fmt.Sprintf("batch exceeds %d ticks; split the stream", maxTicks)}
+}
+
 // decodeBatch packs an NDJSON tick body over vocab — the one decoder of
 // ingest and journal replay. The strict zero-copy BatchDecoder packs the
-// bytes straight into packed words; a body it refuses (unknown field,
-// indented JSON, oversized batch) goes through encoding/json, tick by
-// tick, which reproduces the endpoint's error responses (400 for a bad
-// tick or an empty body, 413 past maxTicks; 0 means no limit). lenient
-// reports that the second decoder accepted the body. Both pack
-// identically, so which one ran never changes a verdict.
+// bytes straight into packed words and answers 413 itself for a batch
+// past maxTicks (0 means no limit). A body it refuses otherwise (unknown
+// field, indented JSON) goes through encoding/json, tick by tick, which
+// reproduces the endpoint's error responses (400 for a bad tick or an
+// empty body, 413 past maxTicks). lenient reports that the second
+// decoder accepted the body. Both pack identically, so which one ran
+// never changes a verdict.
 func decodeBatch(vocab *event.Vocabulary, body []byte, maxTicks int) (pb *event.PackedBatch, lenient bool, err error) {
 	pb = new(event.PackedBatch)
-	if n, err := event.NewBatchDecoder(vocab).Decode(body, pb, maxTicks); err == nil && n > 0 {
+	n, err := event.NewBatchDecoder(vocab).Decode(body, pb, maxTicks)
+	switch {
+	case err == nil && n > 0:
 		return pb, false, nil
+	case event.IsTooManyTicks(err):
+		return nil, false, errBatchTooLarge(maxTicks)
 	}
 	pb.Reset(vocab.Len())
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -864,8 +875,7 @@ func decodeBatch(vocab *event.Vocabulary, body []byte, maxTicks int) (pb *event.
 			return nil, false, &decodeError{http.StatusBadRequest, fmt.Sprintf("tick %d: %v", pb.Len(), err)}
 		}
 		if maxTicks > 0 && pb.Len() >= maxTicks {
-			return nil, false, &decodeError{http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("batch exceeds %d ticks; split the stream", maxTicks)}
+			return nil, false, errBatchTooLarge(maxTicks)
 		}
 		pb.AppendState(vocab, t.ToState())
 	}
@@ -873,6 +883,33 @@ func decodeBatch(vocab *event.Vocabulary, body []byte, maxTicks int) (pb *event.
 		return nil, false, &decodeError{http.StatusBadRequest, "no ticks in body"}
 	}
 	return pb, true, nil
+}
+
+// maxBodyPrealloc caps the buffer readBody allocates up front from a
+// declared Content-Length, so a header that lies cannot make the server
+// allocate; a longer body grows past it as it arrives.
+const maxBodyPrealloc = 1 << 20
+
+// readBody reads a request body whole. A body of known length lands in
+// one allocation of that size via io.ReadFull; one without (chunked)
+// takes io.ReadAll. A body shorter than its declared length fails the
+// read (net/http reports io.ErrUnexpectedEOF).
+func readBody(r *http.Request) ([]byte, error) {
+	if r.ContentLength < 0 {
+		return io.ReadAll(r.Body)
+	}
+	buf := make([]byte, min(r.ContentLength, maxBodyPrealloc))
+	if _, err := io.ReadFull(r.Body, buf); err != nil {
+		return nil, err
+	}
+	if r.ContentLength <= maxBodyPrealloc {
+		return buf, nil
+	}
+	all := bytes.NewBuffer(buf)
+	if _, err := all.ReadFrom(r.Body); err != nil {
+		return nil, err
+	}
+	return all.Bytes(), nil
 }
 
 // handleTicks ingests NDJSON valuation ticks (one StateJSON object per
@@ -929,7 +966,7 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		seq = v
 	}
 	decodeStart := time.Now()
-	body, err := io.ReadAll(r.Body)
+	body, err := readBody(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
@@ -1233,11 +1270,7 @@ func (s *Server) handleVCD(w http.ResponseWriter, r *http.Request) {
 	}
 	err = trace.StreamVCD(r.Body, kindOf, func(st event.State) error {
 		chunk.AppendState(sess.vocab, st)
-		line, err := json.Marshal(stateJSON(st))
-		if err != nil {
-			return err
-		}
-		raw = append(append(raw, line...), '\n')
+		raw = AppendTick(raw, stateJSON(st))
 		if chunk.Len() >= vcdChunkTicks {
 			return flush()
 		}

@@ -3,8 +3,10 @@ package server
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -368,6 +370,66 @@ func (t StateJSON) ToState() event.State {
 		s.Props[p] = v
 	}
 	return s
+}
+
+// AppendTick appends t as one NDJSON ingest line to dst and returns the
+// extended slice. The bytes are exactly what json.Encoder writes for t:
+// events in slice order, props with sorted keys, empty fields omitted,
+// a trailing newline. A name of plain ASCII that needs no escape is
+// copied straight in; any other name takes json.Marshal, so HTML
+// escaping, U+2028/2029 and invalid UTF-8 come out as encoding/json
+// renders them. Only such a name, or a tick with more props than the
+// stack scratch holds, allocates once dst has room.
+func AppendTick(dst []byte, t StateJSON) []byte {
+	dst = append(dst, '{')
+	if len(t.Events) > 0 {
+		dst = append(dst, `"events":[`...)
+		for i, e := range t.Events {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONString(dst, e)
+		}
+		dst = append(dst, ']')
+	}
+	if len(t.Props) > 0 {
+		if len(t.Events) > 0 {
+			dst = append(dst, ',')
+		}
+		var scratch [16]string
+		keys := scratch[:0]
+		for k := range t.Props {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		dst = append(dst, `"props":{`...)
+		for i, k := range keys {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONString(dst, k)
+			if t.Props[k] {
+				dst = append(dst, ":true"...)
+			} else {
+				dst = append(dst, ":false"...)
+			}
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, '}', '\n')
+}
+
+// appendJSONString appends s as a JSON string literal.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(dst, q...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // EncodeState converts an engine-side state to the wire form — exported
