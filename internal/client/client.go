@@ -7,8 +7,10 @@
 // being re-processed, so it is always safe to retry.
 //
 // A batch travels as the daemon's NDJSON tick format, written by
-// server.AppendTick into one buffer per call: the bytes json.Encoder
-// would write, without its reflection and per-tick allocations.
+// server.AppendTicks into a fresh buffer per call (not pooled: the
+// transport can still be reading a body after Do returns on an early
+// response): the bytes json.Encoder would write, without its reflection
+// and per-tick allocations.
 package client
 
 import (
@@ -390,7 +392,7 @@ type TickAck struct {
 // deduplicated server-side: the ack then reports Duplicate with the
 // original seq. wait makes the call block until the batch is processed.
 func (s *Session) SendTicks(ctx context.Context, ticks []server.StateJSON, wait bool) (TickAck, error) {
-	body := encodeTicks(ticks)
+	body := server.AppendTicks(nil, ticks)
 	seq := s.seq.Add(1)
 	path := fmt.Sprintf("/sessions/%s/ticks?seq=%d", s.ID, seq)
 	if wait {
@@ -410,42 +412,6 @@ func (s *Session) SendTicks(ctx context.Context, ticks []server.StateJSON, wait 
 	}
 	s.lastTrace.Store(traceID)
 	return ack, nil
-}
-
-// encodeTicks renders a tick batch as the NDJSON ingest body: one
-// server.AppendTick line per tick into one buffer sized from the batch.
-// The buffer is not pooled, because the transport can still be reading
-// a body after Do returns on an early response.
-func encodeTicks(ticks []server.StateJSON) []byte {
-	n := 0
-	for _, tk := range ticks {
-		n += tickSizeHint(tk)
-	}
-	body := make([]byte, 0, n)
-	for _, tk := range ticks {
-		body = server.AppendTick(body, tk)
-	}
-	return body
-}
-
-// tickSizeHint bounds the length of tk's NDJSON line when its names need
-// no escape: braces and newline, then `"events":[…]` with `"e",` per
-// event and `,"props":{…}` with `"p":false,` per prop.
-func tickSizeHint(tk server.StateJSON) int {
-	n := 3
-	if len(tk.Events) > 0 {
-		n += 11
-		for _, e := range tk.Events {
-			n += len(e) + 3
-		}
-	}
-	if len(tk.Props) > 0 {
-		n += 11
-		for p := range tk.Props {
-			n += len(p) + 9
-		}
-	}
-	return n
 }
 
 // Diagnostics fetches the session's violation-provenance reports.

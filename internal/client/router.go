@@ -370,7 +370,7 @@ func (r *Router) Resume(id string, nextSeq uint64) *RoutedSession {
 
 // SendTicks streams one batch to the session's current owner.
 func (s *RoutedSession) SendTicks(ctx context.Context, ticks []server.StateJSON, wait bool) (TickAck, error) {
-	body := encodeTicks(ticks)
+	body := server.AppendTicks(nil, ticks)
 	// Every routed batch travels under one trace id (the caller's via
 	// WithTraceID, or a minted one), stable across redirects, retries,
 	// and failovers — so a single id stitches the batch's path through

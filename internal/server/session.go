@@ -372,6 +372,41 @@ func (t StateJSON) ToState() event.State {
 	return s
 }
 
+// AppendTicks appends every tick as AppendTick does, after growing dst
+// once by tickLen over the batch, so a batch whose names need no escape
+// is written into one allocation.
+func AppendTicks(dst []byte, ticks []StateJSON) []byte {
+	n := 0
+	for _, t := range ticks {
+		n += tickLen(t)
+	}
+	dst = slices.Grow(dst, n)
+	for _, t := range ticks {
+		dst = AppendTick(dst, t)
+	}
+	return dst
+}
+
+// tickLen bounds the length of AppendTick's line for t when no name needs
+// an escape: braces and newline, then `"events":[…]` with `"e",` per
+// event and `,"props":{…}` with `"p":false,` per prop.
+func tickLen(t StateJSON) int {
+	n := 3
+	if len(t.Events) > 0 {
+		n += 11
+		for _, e := range t.Events {
+			n += len(e) + 3
+		}
+	}
+	if len(t.Props) > 0 {
+		n += 11
+		for p := range t.Props {
+			n += len(p) + 9
+		}
+	}
+	return n
+}
+
 // AppendTick appends t as one NDJSON ingest line to dst and returns the
 // extended slice. The bytes are exactly what json.Encoder writes for t:
 // events in slice order, props with sorted keys, empty fields omitted,

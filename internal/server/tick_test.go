@@ -75,6 +75,23 @@ func TestAppendTickZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestAppendTicks checks a batch is the concatenation of its ticks'
+// AppendTick lines, and that tickLen sizes a batch of plain names into
+// one allocation.
+func TestAppendTicks(t *testing.T) {
+	var want []byte
+	for _, tk := range tickCases {
+		want = AppendTick(want, tk)
+	}
+	if got := AppendTicks(nil, tickCases); !bytes.Equal(got, want) {
+		t.Fatalf("AppendTicks = %q, want %q", got, want)
+	}
+	plain := tickCases[:5]
+	if allocs := testing.AllocsPerRun(100, func() { AppendTicks(nil, plain) }); allocs != 1 {
+		t.Fatalf("AppendTicks allocates %.1f/op for plain names, want 1", allocs)
+	}
+}
+
 // FuzzAppendTick checks that AppendTick writes json.Encoder's bytes for
 // arbitrary names, and that the strict batch decoder packs those bytes
 // exactly as the lenient encoding/json path does over a vocabulary that
@@ -244,6 +261,28 @@ func TestTicksBodyRead(t *testing.T) {
 				t.Fatalf("accepted %d ticks, want %d", ack.Accepted, tc.ticks)
 			}
 		})
+	}
+}
+
+// TestReadBodyAllocs holds a body with a Content-Length up to the
+// pre-allocation clamp at one allocation, and reads a longer one whole.
+func TestReadBodyAllocs(t *testing.T) {
+	body := strictBody(4096)
+	rd := bytes.NewReader(body)
+	r := &http.Request{Body: io.NopCloser(rd), ContentLength: int64(len(body))}
+	allocs := testing.AllocsPerRun(20, func() {
+		rd.Reset(body)
+		if got, err := readBody(r); err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("readBody: %d bytes, err %v", len(got), err)
+		}
+	})
+	if len(body) > maxBodyPrealloc || allocs != 1 {
+		t.Fatalf("readBody of %d bytes allocates %.1f/op, want 1", len(body), allocs)
+	}
+	long := bytes.Repeat([]byte("x"), 3*maxBodyPrealloc)
+	r = &http.Request{Body: io.NopCloser(bytes.NewReader(long)), ContentLength: int64(len(long))}
+	if got, err := readBody(r); err != nil || !bytes.Equal(got, long) {
+		t.Fatalf("readBody past the clamp: %d of %d bytes, err %v", len(got), len(long), err)
 	}
 }
 
