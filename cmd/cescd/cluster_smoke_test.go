@@ -1,9 +1,10 @@
 package main
 
 // Process-level cluster smoke test: build the real binary, run a
-// three-node ring as separate OS processes, stream ticks through the
-// ring-aware router, SIGKILL the session owner, and require the
-// standby promotion to take over within the failure-detection window.
+// three-node ring as separate OS processes, stream ticks through a
+// plain client, SIGKILL the session owner, resume the stream on a
+// survivor, and require the standby promotion to take over within the
+// failure-detection window.
 // This is the closest test to production: real sockets, real processes,
 // real kill -9.
 
@@ -156,28 +157,17 @@ func TestClusterSmokeKillMinusNine(t *testing.T) {
 		waitHealthy(t, urls[name], 10*time.Second)
 	}
 
-	router, err := client.NewRouter(client.RouterOptions{
-		Seeds: []string{urls["n1"], urls["n2"], urls["n3"]},
-		Client: client.Options{
+	clientAt := func(name string) *client.Client {
+		return client.New(client.Options{
+			BaseURL:        urls[name],
 			RequestTimeout: 5 * time.Second,
 			MaxAttempts:    5,
 			BackoffBase:    50 * time.Millisecond,
 			BackoffCap:     time.Second,
-		},
-		MaxHops: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
+		})
 	}
-	defer router.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
-	if err := router.Refresh(ctx); err != nil {
-		t.Fatalf("ring refresh: %v", err)
-	}
-	if router.Ring().Len() != 3 {
-		t.Fatalf("ring has %d members, want 3", router.Ring().Len())
-	}
 
 	// Every batch travels under one pinned trace id, so after the kill -9
 	// the cluster-merged timeline must tell the whole story: ingest on the
@@ -186,20 +176,36 @@ func TestClusterSmokeKillMinusNine(t *testing.T) {
 	const traceID = "smoke-kill-nine-trace"
 	tctx := client.WithTraceID(ctx, traceID)
 
-	sess, err := router.CreateSession(tctx, "assert", "OcpSimpleRead")
+	sess, err := clientAt("n1").CreateSession(tctx, "assert", "OcpSimpleRead")
 	if err != nil {
 		t.Fatalf("CreateSession: %v", err)
 	}
 	states := smokeStates(200)
+	batches := uint64(0)
 	for at := 0; at < 100; at += 20 {
 		if _, err := sess.SendTicks(tctx, states[at:at+20], true); err != nil {
 			t.Fatalf("SendTicks at %d: %v", at, err)
 		}
+		batches++
 	}
 
 	// Locate the owner process via the ring, let replication ship the
 	// tail, then kill -9 the owner.
-	owner, ok := router.Ring().Owner(sess.ID)
+	resp, err := http.Get(urls["n1"] + "/cluster/ring")
+	if err != nil {
+		t.Fatalf("GET /cluster/ring: %v", err)
+	}
+	var ringInfo cluster.RingInfo
+	err = json.NewDecoder(resp.Body).Decode(&ringInfo)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decoding /cluster/ring: %v", err)
+	}
+	ring := cluster.NewRingFromInfo(ringInfo)
+	if ring.Len() != 3 {
+		t.Fatalf("ring has %d members, want 3", ring.Len())
+	}
+	owner, ok := ring.Owner(sess.ID)
 	if !ok {
 		t.Fatalf("no ring owner for %s", sess.ID)
 	}
@@ -230,18 +236,21 @@ func TestClusterSmokeKillMinusNine(t *testing.T) {
 	t.Logf("killed owner %s", owner.Name)
 
 	// The survivors' failure detector (5 × 200ms probes) removes the
-	// dead node; the standby holder promotes. Keep streaming — the
-	// router re-routes as soon as the ring shrinks. Allow generous
-	// retries while detection converges, bounded at 15s.
-	promoted := false
+	// dead node; the standby holder promotes. The stream resumes on a
+	// survivor, which serves or proxies it to the promoted owner. Poll
+	// while detection converges, bounded at 15s.
+	for _, name := range names {
+		if name != owner.Name {
+			sess = clientAt(name).Resume(sess.ID, batches+1)
+			break
+		}
+	}
 	promoteDeadline := time.Now().Add(15 * time.Second)
-	for !promoted {
+	for {
 		if time.Now().After(promoteDeadline) {
 			t.Fatalf("no survivor took over session %s within 15s", sess.ID)
 		}
-		_ = router.Refresh(ctx)
 		if info, err := sess.Info(ctx); err == nil && info.Steps >= 100 {
-			promoted = true
 			break
 		}
 		time.Sleep(200 * time.Millisecond)

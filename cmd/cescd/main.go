@@ -94,6 +94,12 @@ import (
 	"repro/internal/wal"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request header, so a client that connects and stalls cannot hold a
+// connection open indefinitely. Ticks bodies have their own deadline in
+// the server's ingest handler.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	specs := flag.String("specs", "specs", "comma-separated .cesc files or directories to load")
@@ -260,7 +266,7 @@ func main() {
 		}
 	}()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -67,9 +67,6 @@ type Options struct {
 	// Seed makes the jitter deterministic in tests (0 seeds from the
 	// backoff parameters, still deterministic but arbitrary).
 	Seed int64
-	// ExtraHeader is added to every request (the cluster router uses it
-	// to opt into redirect routing via X-Cesc-Route).
-	ExtraHeader http.Header
 }
 
 func (o Options) withDefaults() Options {
@@ -88,17 +85,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// APIError is a terminal (non-retryable) HTTP error response. For a
-// 307 from a cluster node, Location carries the session owner's URL;
-// RetryAfter echoes the response's Retry-After header when present, so
-// a routing layer can honor the server's pacing before its next hop.
-// Quota and Shed echo the daemon's X-Cesc-Quota / X-Cesc-Shed headers
-// on 429s, distinguishing a per-tenant quota refusal from overload
-// shedding (and both from ordinary queue backpressure).
+// APIError is an HTTP error response: terminal, or the last one seen
+// when retries ran out. RetryAfter echoes the response's Retry-After
+// header when present. Quota and Shed echo the daemon's X-Cesc-Quota /
+// X-Cesc-Shed headers on 429s, distinguishing a per-tenant quota
+// refusal from overload shedding (and both from ordinary queue
+// backpressure).
 type APIError struct {
 	Code       int
 	Message    string
-	Location   string
 	RetryAfter time.Duration
 	Quota      string
 	Shed       string
@@ -226,9 +221,6 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	if traceID != "" {
 		req.Header.Set("X-Cesc-Trace", traceID)
 	}
-	for k, vs := range c.opts.ExtraHeader {
-		req.Header[k] = vs
-	}
 	resp, err := c.http.Do(req)
 	if err != nil {
 		// Network-level failure (or attempt timeout): retryable unless
@@ -270,10 +262,11 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	case resp.StatusCode == http.StatusTooManyRequests:
 		// Three distinct 429s. A session-count quota refusal is terminal:
 		// the tenant is at its cap and retrying the same request cannot
-		// succeed. A shed session create is terminal to *this* node — the
-		// Router hops to a cooler member instead of hammering a hot one.
-		// Everything else (tick-rate quota, full shard queue) is pacing:
-		// honor Retry-After and retry here.
+		// succeed. A shed session create is terminal too: a cluster node
+		// proxies a create to a cooler peer whenever gossip shows one
+		// (cluster.Node.route), so a shed means no cooler member was
+		// known. Everything else (tick-rate quota, full shard queue) is
+		// pacing: honor Retry-After and retry here.
 		if apiErr.Quota == "sessions" || apiErr.Shed == "sessions" {
 			return apiErr, apiErr.RetryAfter, false
 		}
@@ -288,12 +281,6 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 		if resp.Header.Get("Retry-After") != "" {
 			return apiErr, apiErr.RetryAfter, true
 		}
-		return apiErr, 0, false
-	case resp.StatusCode == http.StatusTemporaryRedirect:
-		// A routing answer, not a failure: surface the owner's URL (and
-		// any Retry-After pacing) so the ring-aware router can hop.
-		// Retrying the same node would just redirect again.
-		apiErr.Location = resp.Header.Get("Location")
 		return apiErr, 0, false
 	case resp.StatusCode >= 500:
 		return apiErr, 0, true

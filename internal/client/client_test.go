@@ -56,26 +56,65 @@ func TestRetryOn5xx(t *testing.T) {
 	}
 }
 
-// TestTerminalErrorNoRetry checks 4xx responses surface immediately as
-// APIError without burning attempts.
+// TestTerminalErrorNoRetry pins how each error status is classified.
+// Retried statuses are the ones a stream rides through a cluster handoff
+// or promotion (409 with Retry-After, a 502 from a proxy hop whose owner
+// died) and ordinary backpressure (a plain 429); each fails once and
+// then succeeds. Terminal statuses surface as an APIError on the first
+// call without burning attempts.
 func TestTerminalErrorNoRetry(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		http.Error(w, `{"error":"no such session"}`, http.StatusNotFound)
-	}))
-	defer ts.Close()
-	c := New(fastOpts(ts.URL))
-	err := c.Health(context.Background())
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Code != http.StatusNotFound {
-		t.Fatalf("err = %v, want 404 APIError", err)
-	}
-	if apiErr.Message != "no such session" {
-		t.Fatalf("message = %q", apiErr.Message)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("server saw %d calls, want 1 (no retry on 4xx)", got)
+	for _, tc := range []struct {
+		name    string
+		code    int
+		header  map[string]string
+		retried bool
+	}{
+		{name: "404", code: http.StatusNotFound},
+		{name: "409 bare", code: http.StatusConflict},
+		{name: "409 Retry-After", code: http.StatusConflict, header: map[string]string{"Retry-After": "0"}, retried: true},
+		{name: "502", code: http.StatusBadGateway, retried: true},
+		{name: "429 plain", code: http.StatusTooManyRequests, retried: true},
+		{name: "429 shed sessions", code: http.StatusTooManyRequests, header: map[string]string{"X-Cesc-Shed": "sessions"}},
+		{name: "429 quota sessions", code: http.StatusTooManyRequests, header: map[string]string{"X-Cesc-Quota": "sessions"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int64
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if calls.Add(1) > 1 {
+					fmt.Fprint(w, `{"id":"s1"}`)
+					return
+				}
+				for k, v := range tc.header {
+					w.Header().Set(k, v)
+				}
+				http.Error(w, `{"error":"refused"}`, tc.code)
+			}))
+			defer ts.Close()
+			c := New(fastOpts(ts.URL))
+			sess, err := c.CreateSession(context.Background(), "detect", "S")
+			if tc.retried {
+				if err != nil || sess.ID != "s1" {
+					t.Fatalf("CreateSession = %v, %v; want s1 after one retry", sess, err)
+				}
+				if got := calls.Load(); got != 2 {
+					t.Fatalf("server saw %d calls, want 2", got)
+				}
+				return
+			}
+			var apiErr *APIError
+			if !errors.As(err, &apiErr) || apiErr.Code != tc.code {
+				t.Fatalf("err = %v, want %d APIError", err, tc.code)
+			}
+			if apiErr.Message != "refused" {
+				t.Fatalf("message = %q", apiErr.Message)
+			}
+			if apiErr.Shed != tc.header["X-Cesc-Shed"] || apiErr.Quota != tc.header["X-Cesc-Quota"] {
+				t.Fatalf("shed/quota = %q/%q, want the response headers %v", apiErr.Shed, apiErr.Quota, tc.header)
+			}
+			if got := calls.Load(); got != 1 {
+				t.Fatalf("server saw %d calls, want 1 (terminal, no retry)", got)
+			}
+		})
 	}
 }
 

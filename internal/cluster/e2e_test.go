@@ -182,16 +182,6 @@ func newTestCluster(t *testing.T, refresh time.Duration, names ...string) *testC
 	return tc
 }
 
-func (tc *testCluster) seeds() []string {
-	urls := make([]string, 0, len(tc.names))
-	for _, name := range tc.names {
-		if !tc.dead[name] {
-			urls = append(urls, tc.srvs[name].URL)
-		}
-	}
-	return urls
-}
-
 // holder returns the node currently holding a session.
 func (tc *testCluster) holder(id string) (string, bool) {
 	for name, n := range tc.nodes {
@@ -231,23 +221,16 @@ func (tc *testCluster) post(t *testing.T, name, path string, body any, out any) 
 	}
 }
 
-func newRouter(t *testing.T, tc *testCluster) *client.Router {
-	t.Helper()
-	r, err := client.NewRouter(client.RouterOptions{
-		Seeds: tc.seeds(),
-		Client: client.Options{
-			RequestTimeout: 5 * time.Second,
-			MaxAttempts:    4,
-			BackoffBase:    20 * time.Millisecond,
-			BackoffCap:     500 * time.Millisecond,
-		},
-		MaxHops: 6,
+// clientAt builds a plain client whose every request enters the ring at
+// one node; that node serves or proxies it to the session's owner.
+func (tc *testCluster) clientAt(name string) *client.Client {
+	return client.New(client.Options{
+		BaseURL:        tc.srvs[name].URL,
+		RequestTimeout: 5 * time.Second,
+		MaxAttempts:    6,
+		BackoffBase:    20 * time.Millisecond,
+		BackoffCap:     500 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(r.Close)
-	return r
 }
 
 // TestClusterDifferentialParity is the acceptance test of ISSUE 6: the
@@ -260,10 +243,9 @@ func TestClusterDifferentialParity(t *testing.T) {
 	want := referenceVerdicts(t, tr, 32)
 
 	tc := newTestCluster(t, 0, "alpha", "beta", "gamma")
-	router := newRouter(t, tc)
 	ctx := context.Background()
 
-	sess, err := router.CreateSession(ctx, "assert", "OcpSimpleRead", "OcpSimpleReadB")
+	sess, err := tc.clientAt("alpha").CreateSession(ctx, "assert", "OcpSimpleRead", "OcpSimpleReadB")
 	if err != nil {
 		t.Fatalf("CreateSession: %v", err)
 	}
@@ -275,6 +257,7 @@ func TestClusterDifferentialParity(t *testing.T) {
 		t.Fatalf("session %s minted on %s but ring owner is %v", sess.ID, first, owner)
 	}
 
+	var batches uint64 // batches acked so far: the stream's ?seq high-water mark
 	send := func(from, to int) {
 		t.Helper()
 		for at := from; at < to; at += 32 {
@@ -282,6 +265,7 @@ func TestClusterDifferentialParity(t *testing.T) {
 			if _, err := sess.SendTicks(ctx, states[at:end], true); err != nil {
 				t.Fatalf("SendTicks[%d:%d]: %v", at, end, err)
 			}
+			batches++
 		}
 	}
 
@@ -301,8 +285,17 @@ func TestClusterDifferentialParity(t *testing.T) {
 	if !ok || second == first {
 		t.Fatalf("after drain, session holder = %q (was %q)", second, first)
 	}
+	var survivor string
+	for _, name := range tc.names {
+		if name != first && name != second {
+			survivor = name
+		}
+	}
 
-	// Phase 2: the session keeps answering under its ID via the router.
+	// Phase 2: the stream moves to the node that is neither drained nor
+	// about to be killed. It proxies to the new owner, and the resumed
+	// ?seq counter keeps ingest exactly-once across the move.
+	sess = tc.clientAt(survivor).Resume(sess.ID, batches+1)
 	send(300, 450)
 
 	// Ship the WAL tail to the standby before the owner dies, so the
@@ -319,12 +312,6 @@ func TestClusterDifferentialParity(t *testing.T) {
 	// Failover: kill the owner, declare it dead on the survivor, and
 	// let standby promotion take over.
 	tc.kill(second)
-	var survivor string
-	for _, name := range tc.names {
-		if name != first && name != second {
-			survivor = name
-		}
-	}
 	tc.post(t, survivor, "/cluster/leave", map[string]string{"name": second}, nil)
 
 	// The promotion counter moves after AdoptSession has registered the
@@ -340,7 +327,8 @@ func TestClusterDifferentialParity(t *testing.T) {
 		t.Fatalf("survivor promotions = %d, want 1", st.Promotions)
 	}
 
-	// Phase 3: the rest of the trace, routed to the promoted session.
+	// Phase 3: the rest of the trace, served by the promoted session on
+	// the node the stream already enters at.
 	send(450, 600)
 
 	info, err := sess.Info(ctx)
@@ -360,9 +348,9 @@ func TestClusterDifferentialParity(t *testing.T) {
 }
 
 // TestClusterRingEndpointAndProxy covers the routing surface directly:
-// /cluster/ring serves the table, a plain (ring-unaware) client talking
-// to a non-owner is transparently proxied, and a redirect-opted request
-// gets a 307 with the owner's Location.
+// /cluster/ring serves the table, and a client talking to a non-owner is
+// transparently proxied — even one still sending the retired
+// X-Cesc-Route: redirect opt-in, since proxying is the only route.
 func TestClusterRingEndpointAndProxy(t *testing.T) {
 	tc := newTestCluster(t, 0, "alpha", "beta")
 	ctx := context.Background()
@@ -408,33 +396,27 @@ func TestClusterRingEndpointAndProxy(t *testing.T) {
 		t.Fatalf("steps via proxy = %d, want 20", info2.Steps)
 	}
 
-	// Redirect opt-in gets a 307 with Location at the owner.
+	// The retired redirect opt-in is ignored: the request is proxied.
+	proxied := tc.nodes["beta"].Status().Proxied
 	req, _ := http.NewRequest(http.MethodGet, tc.srvs["beta"].URL+"/sessions/"+sess.ID, nil)
-	req.Header.Set(cluster.HeaderRoute, "redirect")
-	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	rresp, err := noFollow.Do(req)
+	req.Header.Set("X-Cesc-Route", "redirect")
+	rresp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rresp.Body.Close()
-	if rresp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("redirect-opted status = %d, want 307", rresp.StatusCode)
+	if rresp.StatusCode != http.StatusOK {
+		t.Fatalf("redirect-opted status = %d, want 200", rresp.StatusCode)
 	}
-	wantLoc := tc.srvs["alpha"].URL + "/sessions/" + sess.ID
-	if loc := rresp.Header.Get("Location"); loc != wantLoc {
-		t.Fatalf("Location = %q, want %q", loc, wantLoc)
-	}
-	if rresp.Header.Get(cluster.HeaderOwner) != "alpha" {
-		t.Fatalf("%s = %q, want alpha", cluster.HeaderOwner, rresp.Header.Get(cluster.HeaderOwner))
+	if st := tc.nodes["beta"].Status(); st.Proxied != proxied+1 {
+		t.Fatalf("beta proxied = %d after a redirect-opted request, want %d", st.Proxied, proxied+1)
 	}
 }
 
 // TestClusterMembershipChurnDuringIngest stresses concurrent ring
 // changes against a live tick stream (run under -race via `make
-// clustertest`): a session keeps ingesting through the router while a
-// member repeatedly leaves and rejoins, forcing migrations back and
+// clustertest`): a session keeps ingesting through one entry node while
+// a member repeatedly leaves and rejoins, forcing migrations back and
 // forth. Exactly-once must hold and the final verdicts must match a
 // standalone run.
 func TestClusterMembershipChurnDuringIngest(t *testing.T) {
@@ -443,11 +425,10 @@ func TestClusterMembershipChurnDuringIngest(t *testing.T) {
 	want := referenceVerdicts(t, tr, 10)
 
 	tc := newTestCluster(t, 50*time.Millisecond, "alpha", "beta")
-	router := newRouter(t, tc)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	sess, err := router.CreateSession(ctx, "assert", "OcpSimpleRead", "OcpSimpleReadB")
+	sess, err := tc.clientAt("alpha").CreateSession(ctx, "assert", "OcpSimpleRead", "OcpSimpleReadB")
 	if err != nil {
 		t.Fatalf("CreateSession: %v", err)
 	}

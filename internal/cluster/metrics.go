@@ -17,8 +17,7 @@ type nodeMetrics struct {
 	migrationsFailed atomic.Uint64 // exports aborted after a failed ship
 	promotions       atomic.Uint64 // standby copies promoted to live sessions
 
-	redirects atomic.Uint64 // 307 responses to ring-aware clients
-	proxied   atomic.Uint64 // requests transparently proxied to the owner
+	proxied atomic.Uint64 // requests transparently proxied to the owner
 
 	ringAdoptions     atomic.Uint64 // newer rings adopted from peers
 	peersDeclaredDead atomic.Uint64 // members removed by the failure detector
@@ -77,8 +76,7 @@ type StatusJSON struct {
 	MigrationsFailed uint64 `json:"migrations_failed"`
 	Promotions       uint64 `json:"promotions"`
 
-	Redirects uint64 `json:"redirects"`
-	Proxied   uint64 `json:"proxied"`
+	Proxied uint64 `json:"proxied"`
 
 	RingAdoptions     uint64 `json:"ring_adoptions"`
 	PeersDeclaredDead uint64 `json:"peers_declared_dead"`
@@ -115,7 +113,6 @@ func (n *Node) promText() []byte {
 	counter("cescd_cluster_migrations_in_total", "Session handoffs received and adopted.", st.MigrationsIn)
 	counter("cescd_cluster_migrations_failed_total", "Session handoffs aborted after a failed ship.", st.MigrationsFailed)
 	counter("cescd_cluster_promotions_total", "Standby copies promoted to live sessions.", st.Promotions)
-	counter("cescd_cluster_redirects_total", "307 redirects served to ring-aware clients.", st.Redirects)
 	counter("cescd_cluster_proxied_total", "Requests transparently proxied to the session owner.", st.Proxied)
 	counter("cescd_cluster_ring_adoptions_total", "Newer rings adopted from peers.", st.RingAdoptions)
 	counter("cescd_cluster_peers_declared_dead_total", "Members removed by the failure detector.", st.PeersDeclaredDead)

@@ -4,10 +4,8 @@
 //   - A consistent-hash ring (ring.go) assigns every session ID an
 //     owner. Each node wraps its server.Server with a routing layer:
 //     requests for sessions it holds are served locally, everything
-//     else is transparently proxied to the owner — or answered with a
-//     307 redirect when the client opts in via `X-Cesc-Route: redirect`
-//     (the ring-aware client does, so steady-state traffic needs no
-//     extra hop).
+//     else is transparently proxied to the owner, so a client needs
+//     only one node's URL.
 //
 //   - Ring changes trigger live session migration. The losing owner
 //     freezes the session (ingest answers 409 + Retry-After), exports
@@ -52,19 +50,12 @@ import (
 	"repro/internal/wal"
 )
 
-// Routing and fencing headers.
+// Routing and load-gossip headers.
 const (
-	// HeaderRoute, when set to "redirect" by a client, turns proxying
-	// into a 307 + Location answer carrying the owner.
-	HeaderRoute = "X-Cesc-Route"
 	// HeaderForwarded marks a request already proxied once; a second
 	// forward would mean the ring views disagree, so the node answers
 	// 409 instead of looping.
 	HeaderForwarded = "X-Cesc-Forwarded"
-	// HeaderOwner and HeaderRingEpoch annotate redirect answers so
-	// ring-aware clients can refresh without an extra round trip.
-	HeaderOwner     = "X-Cesc-Owner"
-	HeaderRingEpoch = "X-Cesc-Ring-Epoch"
 	// HeaderLoad carries a node's admission-governor state as
 	// "<level> <score>" on ring gossip responses. Peers cache it so
 	// session creation can be routed away from overloaded nodes before
@@ -88,8 +79,9 @@ type peerLoad struct {
 type Config struct {
 	// Name uniquely identifies this node in the ring.
 	Name string
-	// AdvertiseURL is the base URL peers and redirected clients use to
-	// reach this node (e.g. "http://10.0.0.7:8080").
+	// AdvertiseURL is the base URL peers use to reach this node, for
+	// proxied requests, migrations and replication (e.g.
+	// "http://10.0.0.7:8080").
 	AdvertiseURL string
 	// Peers is the static membership (self is added automatically).
 	// All nodes started with the same peer list converge immediately.
@@ -540,7 +532,6 @@ func (n *Node) Status() StatusJSON {
 		MigrationsIn:     n.metrics.migrationsIn.Load(),
 		MigrationsFailed: n.metrics.migrationsFailed.Load(),
 		Promotions:       n.metrics.promotions.Load(),
-		Redirects:        n.metrics.redirects.Load(),
 		Proxied:          n.metrics.proxied.Load(),
 
 		RingAdoptions:     n.metrics.ringAdoptions.Load(),
@@ -849,7 +840,8 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 
 // routeSession serves locally held sessions first — the holder answers
 // regardless of what any ring says, which keeps requests correct while
-// a topology change is mid-flight — and routes the rest by ring.
+// a topology change is mid-flight — and proxies the rest to their ring
+// owner.
 func (n *Node) routeSession(w http.ResponseWriter, r *http.Request, id string) {
 	if n.srv.HasSession(id) {
 		n.srv.Handler().ServeHTTP(w, r)
@@ -872,35 +864,6 @@ func (n *Node) routeSession(w http.ResponseWriter, r *http.Request, id string) {
 		}
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusConflict, "session %s is not at its owner yet (handoff in flight); retry", id)
-		return
-	}
-	n.forward(w, r, owner, ring)
-}
-
-// forward sends a request toward the session's owner: 307 for
-// ring-aware clients, transparent proxy otherwise.
-func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner Member, ring *Ring) {
-	if r.Header.Get(HeaderRoute) == "redirect" {
-		loc := owner.URL + r.URL.RequestURI()
-		w.Header().Set("Location", loc)
-		w.Header().Set(HeaderOwner, owner.Name)
-		w.Header().Set(HeaderRingEpoch, strconv.FormatUint(ring.Epoch(), 10))
-		n.metrics.redirects.Add(1)
-		if trace := r.Header.Get("X-Cesc-Trace"); trace != "" {
-			// The client re-sends to the owner itself, so there is no
-			// downstream request to decorate — the span alone records
-			// that this hop happened and where it pointed.
-			h := obs.Clock.Now()
-			n.srv.Tracer().Record(-1, obs.Span{
-				Trace: trace, Stage: obs.StageRedirect, Kind: "redirect",
-				Parent: r.Header.Get("X-Cesc-Parent"), HLC: h,
-				Start: time.Now(), Note: "-> " + owner.Name,
-			})
-		}
-		writeJSON(w, http.StatusTemporaryRedirect, map[string]string{
-			"error":    "session owned by " + owner.Name,
-			"location": loc,
-		})
 		return
 	}
 	if r.Header.Get(HeaderForwarded) != "" {

@@ -1,10 +1,10 @@
 // Package cluster turns a fleet of cescd daemons into one logical
 // monitor service. Sessions are partitioned across nodes by a
 // consistent-hash ring over session IDs; every node answers for any
-// session (serving locally, proxying, or redirecting to the owner); ring
-// changes trigger live session migration fenced by a monotonic epoch;
-// and each session's WAL streams asynchronously to its ring successor,
-// which is promoted to owner when a node dies.
+// session (serving it locally or proxying to the owner); ring changes
+// trigger live session migration fenced by a monotonic epoch; and each
+// session's WAL streams asynchronously to its ring successor, which is
+// promoted to owner when a node dies.
 //
 // The package is stdlib-only, like the rest of the repo: membership is a
 // static peer list plus join/leave/drain admin calls, with an optional

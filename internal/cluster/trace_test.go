@@ -59,11 +59,10 @@ func clusterTrace(t *testing.T, base, traceID string) cluster.ClusterTraceJSON {
 // both nodes into one causally ordered timeline.
 func TestClusterTraceMergedTimeline(t *testing.T) {
 	tc := newTestCluster(t, 0, "alpha", "beta", "gamma")
-	router := newRouter(t, tc)
 	const traceID = "trace-merged-timeline"
 	ctx := client.WithTraceID(context.Background(), traceID)
 
-	sess, err := router.CreateSession(ctx, "assert", "OcpSimpleRead")
+	sess, err := tc.clientAt("alpha").CreateSession(ctx, "assert", "OcpSimpleRead")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +167,10 @@ func TestClusterTraceMergedTimeline(t *testing.T) {
 // exercise for the merge path against live span writes.
 func TestClusterTraceFanoutDuringIngest(t *testing.T) {
 	tc := newTestCluster(t, 0, "alpha", "beta")
-	router := newRouter(t, tc)
 	const traceID = "trace-fanout-race"
 	ctx := client.WithTraceID(context.Background(), traceID)
 
-	sess, err := router.CreateSession(ctx, "assert", "OcpSimpleRead")
+	sess, err := tc.clientAt("alpha").CreateSession(ctx, "assert", "OcpSimpleRead")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,9 +223,8 @@ func TestClusterTraceFanoutDuringIngest(t *testing.T) {
 // dies.
 func TestClusterMetricsFederation(t *testing.T) {
 	tc := newTestCluster(t, 0, "alpha", "beta")
-	router := newRouter(t, tc)
 	ctx := context.Background()
-	sess, err := router.CreateSession(ctx, "assert", "OcpSimpleRead")
+	sess, err := tc.clientAt("alpha").CreateSession(ctx, "assert", "OcpSimpleRead")
 	if err != nil {
 		t.Fatal(err)
 	}

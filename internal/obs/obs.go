@@ -30,7 +30,6 @@ const (
 	StageWALAppend = "wal_append" // journal append for one batch
 	StageWALReplay = "wal_replay" // recovery replay of one session
 	StageProxy     = "proxy"      // cluster layer: request relayed to the ring owner
-	StageRedirect  = "redirect"   // cluster layer: 307 answered with the owner
 )
 
 // Span is one timed pipeline stage of one tick batch. Spans are written
@@ -63,10 +62,9 @@ type Span struct {
 	// the span (tracer-stamped, "" standalone); Parent is the parent-span
 	// token ("node@hlc") the request carried in via X-Cesc-Parent, tying
 	// this span under the hop that forwarded it; Kind classifies the span
-	// beyond its pipeline stage ("proxy", "redirect", "promotion",
-	// "recovery", "migration"); HLC is the hybrid-logical-clock reading
-	// that makes the cluster-merged timeline causal rather than
-	// wall-clock-ordered.
+	// beyond its pipeline stage ("proxy", "promotion", "recovery",
+	// "migration"); HLC is the hybrid-logical-clock reading that makes
+	// the cluster-merged timeline causal rather than wall-clock-ordered.
 	Node   string `json:"node,omitempty"`
 	Parent string `json:"parent,omitempty"`
 	Kind   string `json:"kind,omitempty"`

@@ -521,7 +521,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // Tracer exposes the span tracer to the cluster layer, which records
-// proxy/redirect spans of its own and answers /cluster/trace fan-outs.
+// proxy spans of its own and answers /cluster/trace fan-outs.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // FlightRecorder exposes the black box to the cluster layer and
@@ -893,6 +893,11 @@ func decodeBatch(vocab *event.Vocabulary, body []byte, maxTicks int) (pb *event.
 // as it arrives.
 const maxBodyPrealloc = 256 << 10
 
+// bodyReadTimeout bounds the body read of one ticks request, so a client
+// that sends a header and then stalls is cut off instead of pinning its
+// connection and read buffer. A variable only so tests can shorten it.
+var bodyReadTimeout = 30 * time.Second
+
 // readBody reads a request body whole through one bytes.Buffer: a body of
 // known length up to maxBodyPrealloc lands in one allocation, and a
 // longer or chunked one grows as it arrives. A body shorter than its
@@ -959,12 +964,22 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		}
 		seq = v
 	}
+	// Bound the body read. A failed read keeps the bound, so net/http's
+	// drain of the unread rest after the 400 cannot stall either. A
+	// complete read lifts it: left armed, net/http's background read
+	// would hit it during a ?wait=1 wait and cancel the request context
+	// (Go 1.24's net/http also clears it when that read starts; this
+	// does not rely on that). A writer that cannot take a deadline reads
+	// unbounded.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
 	decodeStart := time.Now()
 	body, err := readBody(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
+	_ = rc.SetReadDeadline(time.Time{})
 	packed, lenient, err := decodeBatch(sess.vocab, body, s.cfg.MaxBatchTicks)
 	var refused *decodeError
 	if errors.As(err, &refused) {

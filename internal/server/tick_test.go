@@ -9,11 +9,15 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/event"
+	"repro/internal/ocp"
+	"repro/internal/parser"
 	"repro/internal/wal"
 )
 
@@ -311,6 +315,86 @@ func TestTicksBodyShort(t *testing.T) {
 		conn.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("declared %d, sent %d bytes: status %d, want 400", declared, len(body), resp.StatusCode)
+		}
+	}
+}
+
+// TestTicksBodyDeadline holds ticks bodies to bodyReadTimeout. A raw
+// client that sends a header and part of its body, then stalls with the
+// connection open, must get an answer or a close within the deadline
+// plus slack. With ticks slowed so that a ?wait=1 wait outlasts the
+// deadline, two such requests on one keep-alive connection must both
+// succeed with their request context still live when the handler
+// returns: the deadline is lifted once the body is read, so it carries
+// over neither into net/http's background read during the wait nor into
+// the next request.
+func TestTicksBodyDeadline(t *testing.T) {
+	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
+	bodyReadTimeout = 200 * time.Millisecond
+	s, err := New(Config{Shards: 1, QueueDepth: 4, TickDelay: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LoadSpecSource(parser.Print("OcpSimpleRead", ocp.SimpleReadChart())); err != nil {
+		t.Fatal(err)
+	}
+	var canceled atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.Handler().ServeHTTP(w, r)
+		if r.URL.Query().Get("wait") == "1" && r.Context().Err() != nil {
+			canceled.Add(1)
+		}
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	sess := createSession(t, ts.URL, "detect", "OcpSimpleRead")
+	addr := strings.TrimPrefix(ts.URL, "http://")
+
+	stalled, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	const slack = 2 * time.Second
+	start := time.Now()
+	part := strictBody(1)
+	fmt.Fprintf(stalled, "POST /sessions/%s/ticks HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", sess.ID, 10*len(part), part)
+	stalled.SetReadDeadline(start.Add(bodyReadTimeout + slack))
+	if resp, err := http.ReadResponse(bufio.NewReader(stalled), nil); err == nil {
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("stalled body: status %d, want 400", resp.StatusCode)
+		}
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("stalled body: no answer or close within %v", bodyReadTimeout+slack)
+	}
+	if d := time.Since(start); d > bodyReadTimeout+slack {
+		t.Fatalf("stalled body cut off after %v, want within %v", d, bodyReadTimeout+slack)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	body := strictBody(4) // 4 ticks × TickDelay outlasts bodyReadTimeout
+	for seq := 1; seq <= 2; seq++ {
+		fmt.Fprintf(conn, "POST /sessions/%s/ticks?wait=1&seq=%d HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", sess.ID, seq, len(body), body)
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("wait request %d: %v", seq, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("wait request %d: status %d, want 200", seq, resp.StatusCode)
+		}
+		if n := canceled.Load(); n != 0 {
+			t.Fatalf("wait request %d: request context canceled during the wait", seq)
 		}
 	}
 }
