@@ -167,8 +167,8 @@ func figBenches() ([]figBench, error) {
 
 // suite builds every row of the -json suite without running any of
 // them: hot-path stepping, ingest, WAL, then per figure the table step,
-// batch decode and observability overhead, then fleet tracing and spec
-// mining.
+// batch decode and observability overhead, then fleet tracing, the
+// read path and spec mining.
 func suite() ([]namedBench, error) {
 	figs, err := figBenches()
 	if err != nil {
@@ -461,6 +461,11 @@ func suite() ([]namedBench, error) {
 			}
 		}},
 	)
+	reads, err := readBenches()
+	if err != nil {
+		return nil, err
+	}
+	benches = append(benches, reads...)
 	benches = append(benches, mineBenches()...)
 	return benches, nil
 }

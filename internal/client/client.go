@@ -10,7 +10,10 @@
 // server.AppendTicks into a fresh buffer per call (not pooled: the
 // transport can still be reading a body after Do returns on an early
 // response): the bytes json.Encoder would write, without its reflection
-// and per-tick allocations.
+// and per-tick allocations. The verdicts and diagnostics bodies a
+// client polls while it streams come back through the server package's
+// strict one-pass decoders (server.DecodeVerdicts, DecodeDiagnostics);
+// every response is read in one buffer sized from its Content-Length.
 package client
 
 import (
@@ -208,6 +211,25 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		method, path, c.opts.MaxAttempts, lastErr)
 }
 
+// maxResponseBytes bounds the body of one response.
+const maxResponseBytes = 8 << 20
+
+// decode decodes a response body into out. The verdicts and
+// diagnostics bodies, which a client may poll while it streams, take
+// the server package's strict one-pass decoders; every other body takes
+// encoding/json.
+func decode(data []byte, out any) (err error) {
+	switch o := out.(type) {
+	case *server.VerdictsJSON:
+		*o, err = server.DecodeVerdicts(data)
+	case *server.DiagnosticsJSON:
+		*o, err = server.DecodeDiagnostics(data)
+	default:
+		err = json.Unmarshal(data, out)
+	}
+	return err
+}
+
 // attempt performs one HTTP round trip and classifies the outcome.
 func (c *Client) attempt(ctx context.Context, method, path string, body []byte, traceID string, out any) (err error, floor time.Duration, retryable bool) {
 	actx, cancel := context.WithTimeout(ctx, c.opts.RequestTimeout)
@@ -231,7 +253,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 		return err, 0, true
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	data, err := server.ReadBody(io.LimitReader(resp.Body, maxResponseBytes), resp.ContentLength)
 	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err(), 0, false
@@ -240,7 +262,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	}
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		if out != nil {
-			if err := json.Unmarshal(data, out); err != nil {
+			if err := decode(data, out); err != nil {
 				return fmt.Errorf("cescd: decoding %s %s response: %w", method, path, err), 0, false
 			}
 		}

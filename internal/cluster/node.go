@@ -699,10 +699,10 @@ func (n *Node) routes() {
 	n.mux.HandleFunc("GET /cluster/ring", func(w http.ResponseWriter, _ *http.Request) {
 		lvl, score := n.srv.GovernorState()
 		w.Header().Set(HeaderLoad, fmt.Sprintf("%d %.3f", lvl, score))
-		writeJSON(w, http.StatusOK, n.currentRing().Info())
+		server.WriteJSON(w, http.StatusOK, n.currentRing().Info())
 	})
 	n.mux.HandleFunc("GET /cluster/status", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, n.Status())
+		server.WriteJSON(w, http.StatusOK, n.Status())
 	})
 	n.mux.HandleFunc("POST /cluster/join", n.handleJoin)
 	n.mux.HandleFunc("POST /cluster/leave", n.handleLeave)
@@ -710,14 +710,14 @@ func (n *Node) routes() {
 	n.mux.HandleFunc("POST /cluster/migrate", n.handleMigrate)
 	n.mux.HandleFunc("POST /cluster/replicate", n.handleReplicate)
 	n.mux.HandleFunc("POST /cluster/drain", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]int{"migrated": n.Drain()})
+		server.WriteJSON(w, http.StatusOK, map[string]int{"migrated": n.Drain()})
 	})
 	n.mux.HandleFunc("POST /cluster/flush", func(w http.ResponseWriter, _ *http.Request) {
 		var lag int64
 		if n.repl != nil {
 			lag = n.repl.cycle()
 		}
-		writeJSON(w, http.StatusOK, map[string]int64{"lag_bytes": lag})
+		server.WriteJSON(w, http.StatusOK, map[string]int64{"lag_bytes": lag})
 	})
 	n.mux.HandleFunc("GET /cluster/trace", n.handleClusterTrace)
 	n.mux.HandleFunc("GET /cluster/metrics", n.handleClusterMetrics)
@@ -728,11 +728,11 @@ func (n *Node) routes() {
 func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var m Member
 	if err := json.NewDecoder(r.Body).Decode(&m); err != nil || m.Name == "" || m.URL == "" {
-		writeError(w, http.StatusBadRequest, "join needs {name, url}")
+		server.WriteError(w, http.StatusBadRequest, "join needs {name, url}")
 		return
 	}
 	ring := n.addMember(Member{Name: m.Name, URL: strings.TrimRight(m.URL, "/")})
-	writeJSON(w, http.StatusOK, ring.Info())
+	server.WriteJSON(w, http.StatusOK, ring.Info())
 }
 
 func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
@@ -740,21 +740,21 @@ func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
 		Name string `json:"name"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Name == "" {
-		writeError(w, http.StatusBadRequest, "leave needs {name}")
+		server.WriteError(w, http.StatusBadRequest, "leave needs {name}")
 		return
 	}
 	ring := n.removeMember(body.Name)
-	writeJSON(w, http.StatusOK, ring.Info())
+	server.WriteJSON(w, http.StatusOK, ring.Info())
 }
 
 func (n *Node) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	var info RingInfo
 	if err := json.NewDecoder(r.Body).Decode(&info); err != nil {
-		writeError(w, http.StatusBadRequest, "adopt needs a ring")
+		server.WriteError(w, http.StatusBadRequest, "adopt needs a ring")
 		return
 	}
 	n.adoptInfo(info)
-	writeJSON(w, http.StatusOK, n.currentRing().Info())
+	server.WriteJSON(w, http.StatusOK, n.currentRing().Info())
 }
 
 // handleMigrate is the gaining side of a handoff: adopt the sender's
@@ -763,43 +763,43 @@ func (n *Node) handleAdopt(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	var req migrateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Session == "" {
-		writeError(w, http.StatusBadRequest, "migrate needs {ring, session, snapshot}")
+		server.WriteError(w, http.StatusBadRequest, "migrate needs {ring, session, snapshot}")
 		return
 	}
 	n.adoptInfo(req.Ring)
 	ring := n.currentRing()
 	if req.Ring.Epoch < ring.Epoch() {
-		writeError(w, http.StatusConflict, "stale ring epoch %d (current %d)", req.Ring.Epoch, ring.Epoch())
+		server.WriteError(w, http.StatusConflict, "stale ring epoch %d (current %d)", req.Ring.Epoch, ring.Epoch())
 		return
 	}
 	if owner, ok := ring.Owner(req.Session); !ok || owner.Name != n.self.Name {
-		writeError(w, http.StatusConflict, "node %s does not own session %s under epoch %d", n.self.Name, req.Session, ring.Epoch())
+		server.WriteError(w, http.StatusConflict, "node %s does not own session %s under epoch %d", n.self.Name, req.Session, ring.Epoch())
 		return
 	}
 	rec := wal.Record{Kind: server.RecordSnapshot, Payload: req.Snapshot}
 	if err := n.srv.AdoptSession(req.Session, []wal.Record{rec}); err != nil {
-		writeError(w, http.StatusInternalServerError, "adopting session %s: %v", req.Session, err)
+		server.WriteError(w, http.StatusInternalServerError, "adopting session %s: %v", req.Session, err)
 		return
 	}
 	n.metrics.migrationsIn.Add(1)
-	writeJSON(w, http.StatusOK, map[string]string{"adopted": req.Session})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"adopted": req.Session})
 }
 
 func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if n.standby == nil {
-		writeError(w, http.StatusNotImplemented, "node %s has no standby store", n.self.Name)
+		server.WriteError(w, http.StatusNotImplemented, "node %s has no standby store", n.self.Name)
 		return
 	}
 	var req replicateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Session == "" {
-		writeError(w, http.StatusBadRequest, "replicate needs {session, records}")
+		server.WriteError(w, http.StatusBadRequest, "replicate needs {session, records}")
 		return
 	}
 	if err := n.standby.append(req.Session, req.Reset, req.Records); err != nil {
-		writeError(w, http.StatusInternalServerError, "standby append for %s: %v", req.Session, err)
+		server.WriteError(w, http.StatusInternalServerError, "standby append for %s: %v", req.Session, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"appended": len(req.Records)})
+	server.WriteJSON(w, http.StatusOK, map[string]int{"appended": len(req.Records)})
 }
 
 // route is the catch-all: session traffic is ring-routed, /metrics is
@@ -863,7 +863,7 @@ func (n *Node) routeSession(w http.ResponseWriter, r *http.Request, id string) {
 			n.onRingChange()
 		}
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusConflict, "session %s is not at its owner yet (handoff in flight); retry", id)
+		server.WriteError(w, http.StatusConflict, "session %s is not at its owner yet (handoff in flight); retry", id)
 		return
 	}
 	if r.Header.Get(HeaderForwarded) != "" {
@@ -871,7 +871,7 @@ func (n *Node) routeSession(w http.ResponseWriter, r *http.Request, id string) {
 		// disagrees. Refusing beats proxy ping-pong — the views
 		// converge within a refresh period.
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusConflict, "ring views disagree about the owner; retry")
+		server.WriteError(w, http.StatusConflict, "ring views disagree about the owner; retry")
 		return
 	}
 	n.proxy(w, r, owner)
@@ -886,7 +886,7 @@ func (n *Node) proxyCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeError(w, http.StatusServiceUnavailable, "node is draining and no peer remains")
+	server.WriteError(w, http.StatusServiceUnavailable, "node is draining and no peer remains")
 }
 
 // proxy relays the request to a peer and streams the answer back. A
@@ -896,7 +896,7 @@ func (n *Node) proxyCreate(w http.ResponseWriter, r *http.Request) {
 func (n *Node) proxy(w http.ResponseWriter, r *http.Request, m Member) {
 	out, err := http.NewRequestWithContext(r.Context(), r.Method, m.URL+r.URL.RequestURI(), r.Body)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "building proxy request: %v", err)
+		server.WriteError(w, http.StatusInternalServerError, "building proxy request: %v", err)
 		return
 	}
 	out.Header = r.Header.Clone()
@@ -924,7 +924,7 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, m Member) {
 	}
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusBadGateway, "proxy to owner %s failed: %v", m.Name, err)
+		server.WriteError(w, http.StatusBadGateway, "proxy to owner %s failed: %v", m.Name, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -1027,16 +1027,4 @@ func (n *Node) doJSON(req *http.Request, out any) error {
 		return json.Unmarshal(raw, out)
 	}
 	return nil
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }

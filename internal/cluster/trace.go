@@ -35,6 +35,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/server"
 )
 
 // clusterTraceDefaultN bounds per-node span fetches when the caller does
@@ -60,14 +61,14 @@ type ClusterTraceJSON struct {
 func (n *Node) handleClusterTrace(w http.ResponseWriter, r *http.Request) {
 	traceID := r.URL.Query().Get("trace")
 	if traceID == "" {
-		writeError(w, http.StatusBadRequest, "trace query parameter is required")
+		server.WriteError(w, http.StatusBadRequest, "trace query parameter is required")
 		return
 	}
 	limit := clusterTraceDefaultN
 	if v := r.URL.Query().Get("n"); v != "" {
 		i, err := strconv.Atoi(v)
 		if err != nil || i <= 0 {
-			writeError(w, http.StatusBadRequest, "n must be a positive integer")
+			server.WriteError(w, http.StatusBadRequest, "n must be a positive integer")
 			return
 		}
 		limit = i
@@ -111,7 +112,7 @@ func (n *Node) handleClusterTrace(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.WriteString(w, obs.RenderTimeline(merged))
 		return
 	}
-	writeJSON(w, http.StatusOK, ClusterTraceJSON{Trace: traceID, Nodes: counts, Spans: merged})
+	server.WriteJSON(w, http.StatusOK, ClusterTraceJSON{Trace: traceID, Nodes: counts, Spans: merged})
 }
 
 // queryEscape is the tiny subset of url.QueryEscape the trace ids the
@@ -223,10 +224,10 @@ func (n *Node) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		ready, reasons["draining"] = false, "node is draining"
 	}
 	if !ready {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reasons": reasons})
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reasons": reasons})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ready": true})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"ready": true})
 }
 
 // traceParentToken mints the X-Cesc-Parent token for an outbound hop:

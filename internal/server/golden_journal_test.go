@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -232,6 +233,17 @@ func TestGoldenJournalFormat(t *testing.T) {
 	}
 }
 
+// compactGolden is a frozen body as today's daemon serves it: compact,
+// with a trailing newline.
+func compactGolden(t *testing.T, dir, name string) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := json.Compact(&b, goldenFile(t, dir, name)); err != nil {
+		t.Fatal(err)
+	}
+	return append(b.Bytes(), '\n')
+}
+
 // legacyVerdicts keeps the verdict fields every daemon since the first
 // journal format has served.
 func legacyVerdicts(t *testing.T, body []byte) []byte {
@@ -261,7 +273,9 @@ func legacyVerdicts(t *testing.T, body []byte) []byte {
 // byte-identical to the bodies the writing daemon served before its
 // crash, and feeding each recorded tail batch must reproduce what that
 // daemon served after recovering the same journal and stepping the same
-// batch.
+// batch. Those daemons indented their bodies and today's serves them
+// compact, so a frozen body is compared through json.Compact (and a
+// newline): same members, same order, same escapes, same numbers.
 func TestGoldenAssertJournalReplay(t *testing.T) {
 	for _, gj := range goldenJournals {
 		t.Run(gj.dir, func(t *testing.T) {
@@ -285,11 +299,11 @@ func TestGoldenAssertJournalReplay(t *testing.T) {
 					return
 				}
 				got := getRaw(t, fmt.Sprintf("%s/sessions/%s/%s", ts.URL, id, endpoint))
-				want := goldenFile(t, gj.dir, golden)
+				want := compactGolden(t, gj.dir, golden)
 				if gj.legacy {
 					got, want = legacyVerdicts(t, got), legacyVerdicts(t, want)
 				}
-				if string(got) != string(want) {
+				if !bytes.Equal(got, want) {
 					t.Errorf("%s of %s differs from %s:\n got %s\nwant %s", endpoint, id, golden, got, want)
 				}
 			}

@@ -30,14 +30,15 @@ type minedSpec struct {
 // symbols no chart can name are skipped and listed under
 // skipped_symbols.
 func (s *Server) handleMineSpecs(w http.ResponseWriter, r *http.Request) {
+	armBodyDeadline(w)
 	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		WriteError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 	corpus, err := mine.ReadNDJSON(strings.NewReader(string(body)))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "corpus: %v", err)
+		WriteError(w, http.StatusBadRequest, "corpus: %v", err)
 		return
 	}
 
@@ -54,7 +55,7 @@ func (s *Server) handleMineSpecs(w http.ResponseWriter, r *http.Request) {
 		if v := q.Get(param); v != "" {
 			n, err := strconv.Atoi(v)
 			if err != nil || n < 0 {
-				writeError(w, http.StatusBadRequest, "%s must be a non-negative integer", param)
+				WriteError(w, http.StatusBadRequest, "%s must be a non-negative integer", param)
 				return
 			}
 			*dst = n
@@ -63,7 +64,7 @@ func (s *Server) handleMineSpecs(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("confidence"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil || f <= 0 || f > 1 {
-			writeError(w, http.StatusBadRequest, "confidence must be in (0, 1]")
+			WriteError(w, http.StatusBadRequest, "confidence must be in (0, 1]")
 			return
 		}
 		cfg.Confidence = f
@@ -76,7 +77,7 @@ func (s *Server) handleMineSpecs(w http.ResponseWriter, r *http.Request) {
 	if validate {
 		ms, rs, err := mine.MineValidated(corpus, cfg)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "mining: %v", err)
+			WriteError(w, http.StatusBadRequest, "mining: %v", err)
 			return
 		}
 		for i, m := range ms {
@@ -85,7 +86,7 @@ func (s *Server) handleMineSpecs(w http.ResponseWriter, r *http.Request) {
 	} else {
 		ms, err := mine.Mine(corpus, cfg)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "mining: %v", err)
+			WriteError(w, http.StatusBadRequest, "mining: %v", err)
 			return
 		}
 		for _, m := range ms {
@@ -107,7 +108,7 @@ func (s *Server) handleMineSpecs(w http.ResponseWriter, r *http.Request) {
 			if strings.Contains(err.Error(), "already loaded") {
 				code = http.StatusConflict
 			}
-			writeError(w, code, "loading mined chart %s: %v", specs[i].Name, err)
+			WriteError(w, code, "loading mined chart %s: %v", specs[i].Name, err)
 			return
 		}
 		specs[i].Loaded = true
@@ -119,9 +120,9 @@ func (s *Server) handleMineSpecs(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(loaded) == 0 {
 		resp["error"] = "no mined chart passed the validation gate"
-		writeJSON(w, http.StatusUnprocessableEntity, resp)
+		WriteJSON(w, http.StatusUnprocessableEntity, resp)
 		return
 	}
 	resp["loaded"] = loaded
-	writeJSON(w, http.StatusCreated, resp)
+	WriteJSON(w, http.StatusCreated, resp)
 }

@@ -493,15 +493,15 @@ func (s *Server) handlePageOut(w http.ResponseWriter, r *http.Request) {
 	err := s.PageOutSession(id)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusOK, map[string]string{"paged": id})
+		WriteJSON(w, http.StatusOK, map[string]string{"paged": id})
 	case errors.Is(err, ErrNoSession):
-		writeError(w, http.StatusNotFound, "no such session")
+		WriteError(w, http.StatusNotFound, "no such session")
 	case errors.Is(err, errNotJournaled):
-		writeError(w, http.StatusConflict, "%v", err)
+		WriteError(w, http.StatusConflict, "%v", err)
 	case errors.Is(err, errMigrating):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusConflict, "%v", err)
+		WriteError(w, http.StatusConflict, "%v", err)
 	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 	}
 }

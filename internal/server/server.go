@@ -458,24 +458,12 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /debug/flightrec", s.handleFlightRec)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.crashed.Load() {
-		writeError(w, http.StatusServiceUnavailable, "crashed")
+		WriteError(w, http.StatusServiceUnavailable, "crashed")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":     "ok",
 		"uptime_sec": time.Since(s.metrics.start).Seconds(),
 	})
@@ -514,10 +502,10 @@ func (s *Server) Ready() (bool, map[string]string) {
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	ready, reasons := s.Ready()
 	if !ready {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reasons": reasons})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reasons": reasons})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ready": true})
+	WriteJSON(w, http.StatusOK, map[string]any{"ready": true})
 }
 
 // Tracer exposes the span tracer to the cluster layer, which records
@@ -537,7 +525,7 @@ func (s *Server) TraceSpans(traceID string, n int) []obs.Span {
 // handleFlightRec serves the flight recorder's live buffer — the same
 // document a trip dumps to disk, minus the reason.
 func (s *Server) handleFlightRec(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.flight.Snapshot(""))
+	WriteJSON(w, http.StatusOK, s.flight.Snapshot(""))
 }
 
 // handleMetrics serves the daemon metrics. The default body is the
@@ -546,7 +534,7 @@ func (s *Server) handleFlightRec(w http.ResponseWriter, _ *http.Request) {
 // and the Go client do) get the MetricsSnapshot JSON instead.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		writeJSON(w, http.StatusOK, s.Metrics())
+		WriteJSON(w, http.StatusOK, s.Metrics())
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -562,9 +550,9 @@ func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.fetchSession(r.PathValue("id"))
 	if err != nil {
 		if errors.Is(err, ErrNoSession) {
-			writeError(w, http.StatusNotFound, "no such session")
+			WriteError(w, http.StatusNotFound, "no such session")
 		} else {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			WriteError(w, http.StatusInternalServerError, "%v", err)
 		}
 		return
 	}
@@ -572,7 +560,7 @@ func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	body := sess.diagnostics()
 	s.metrics.observeStage(obs.StageVerdict, time.Since(start))
-	writeJSON(w, http.StatusOK, body)
+	writeDiagnostics(w, body)
 }
 
 // handleDebugTrace serves the tracer rings as JSON, newest last.
@@ -580,7 +568,7 @@ func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
 // ?stage=NAME one pipeline stage, and ?n=N only the newest N spans.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	if !s.tracer.Enabled() {
-		writeJSON(w, http.StatusOK, map[string]any{"enabled": false, "spans": []obs.Span{}})
+		WriteJSON(w, http.StatusOK, map[string]any{"enabled": false, "spans": []obs.Span{}})
 		return
 	}
 	q := r.URL.Query()
@@ -588,7 +576,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("n"); v != "" {
 		parsed, err := strconv.Atoi(v)
 		if err != nil || parsed < 0 {
-			writeError(w, http.StatusBadRequest, "n must be a non-negative integer")
+			WriteError(w, http.StatusBadRequest, "n must be a non-negative integer")
 			return
 		}
 		n = parsed
@@ -606,7 +594,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	if spans == nil {
 		spans = []obs.Span{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"enabled": true,
 		"total":   s.tracer.Spans(),
 		"spans":   spans,
@@ -614,16 +602,17 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleListSpecs(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"specs": s.specs.List()})
+	WriteJSON(w, http.StatusOK, map[string]any{"specs": s.specs.List()})
 }
 
 // handleLoadSpecs hot-loads .cesc source from the request body.
 // ?replace=1 overwrites existing names (sessions keep the monitors they
 // were created with).
 func (s *Server) handleLoadSpecs(w http.ResponseWriter, r *http.Request) {
+	armBodyDeadline(w)
 	src, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		WriteError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 	names, err := s.specs.LoadSource(string(src), r.URL.Query().Get("replace") == "1")
@@ -632,10 +621,10 @@ func (s *Server) handleLoadSpecs(w http.ResponseWriter, r *http.Request) {
 		if strings.Contains(err.Error(), "already loaded") {
 			code = http.StatusConflict
 		}
-		writeError(w, code, "%v", err)
+		WriteError(w, code, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{"loaded": names})
+	WriteJSON(w, http.StatusCreated, map[string]any{"loaded": names})
 }
 
 // createSessionRequest is the body of POST /sessions. DiagDepth, when
@@ -649,6 +638,7 @@ type createSessionRequest struct {
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
+	armBodyDeadline(w)
 	if s.govLevel() >= govLevelThrottleSessions {
 		// Degradation level 2: new sessions are the sheddable work —
 		// existing sessions keep ingesting. The jittered Retry-After
@@ -658,36 +648,36 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		s.logShed("sessions", r.Header.Get("X-Cesc-Trace"), "")
 		w.Header().Set("X-Cesc-Shed", "sessions")
 		w.Header().Set("Retry-After", strconv.Itoa(s.sessionThrottleRetryAfter()))
-		writeError(w, http.StatusTooManyRequests, "node overloaded; new sessions throttled")
+		WriteError(w, http.StatusTooManyRequests, "node overloaded; new sessions throttled")
 		return
 	}
 	var req createSessionRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	if len(req.Specs) == 0 {
-		writeError(w, http.StatusBadRequest, "session needs at least one spec")
+		WriteError(w, http.StatusBadRequest, "session needs at least one spec")
 		return
 	}
 	mode, err := parseMode(req.Mode)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.DiagDepth < 0 || req.DiagDepth > maxDiagDepth {
-		writeError(w, http.StatusBadRequest, "diag_depth must be in [0, %d]", maxDiagDepth)
+		WriteError(w, http.StatusBadRequest, "diag_depth must be in [0, %d]", maxDiagDepth)
 		return
 	}
 	specs := make([]*Spec, 0, len(req.Specs))
 	for _, name := range req.Specs {
 		sp, ok := s.specs.Get(name)
 		if !ok {
-			writeError(w, http.StatusNotFound, "spec %q not loaded", name)
+			WriteError(w, http.StatusNotFound, "spec %q not loaded", name)
 			return
 		}
 		if sp.MultiClock {
-			writeError(w, http.StatusBadRequest,
+			WriteError(w, http.StatusBadRequest,
 				"spec %q is multi-clock; sessions stream a single clock domain", name)
 			return
 		}
@@ -695,7 +685,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	id, ok := s.mintSessionID()
 	if !ok {
-		writeError(w, http.StatusServiceUnavailable, "could not mint an acceptable session id")
+		WriteError(w, http.StatusServiceUnavailable, "could not mint an acceptable session id")
 		return
 	}
 	tenantKey := r.Header.Get(s.cfg.TenantHeader)
@@ -709,7 +699,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 			// the client tell quota exhaustion from overload shedding.
 			s.tenants.rejectSessions(tenantKey)
 			w.Header().Set("X-Cesc-Quota", "sessions")
-			writeError(w, http.StatusTooManyRequests,
+			WriteError(w, http.StatusTooManyRequests,
 				"tenant %s at its session quota (%d open)", tenantKey, max)
 			return
 		}
@@ -721,7 +711,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		// a session the client knows about must survive a crash.
 		if err := s.journalCreate(sess, specs); err != nil {
 			s.metrics.walErrors.Add(1)
-			writeError(w, http.StatusInternalServerError, "journal: %v", err)
+			WriteError(w, http.StatusInternalServerError, "journal: %v", err)
 			return
 		}
 	}
@@ -731,7 +721,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	if b := s.cfg.MemBudget; b > 0 && s.memUsed.Load() > b {
 		s.kickPressure()
 	}
-	writeJSON(w, http.StatusCreated, sess.info())
+	WriteJSON(w, http.StatusCreated, sess.info())
 }
 
 // mintSessionID draws random session IDs until Config.IDFilter accepts
@@ -769,13 +759,13 @@ func (s *Server) handleListSessions(w http.ResponseWriter, _ *http.Request) {
 		infos = append(infos, sess.info())
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
-	writeJSON(w, http.StatusOK, map[string]any{"sessions": infos})
+	WriteJSON(w, http.StatusOK, map[string]any{"sessions": infos})
 }
 
 func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if sess, ok := s.session(id); ok {
-		writeJSON(w, http.StatusOK, sess.info())
+		WriteJSON(w, http.StatusOK, sess.info())
 		return
 	}
 	// A cold session answers from its paged entry without reviving —
@@ -784,10 +774,10 @@ func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 	cold, ok := s.paged[id]
 	s.smu.RUnlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such session")
+		WriteError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	writeJSON(w, http.StatusOK, cold.info())
+	WriteJSON(w, http.StatusOK, cold.info())
 }
 
 // handleDeleteSession removes a session, hot or cold. The hot table
@@ -819,11 +809,11 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 			_ = s.wal.Remove(id)
 		}
 	default:
-		writeError(w, http.StatusNotFound, "no such session")
+		WriteError(w, http.StatusNotFound, "no such session")
 		return
 	}
 	s.metrics.sessionsDeleted.Add(1)
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
+	WriteJSON(w, http.StatusOK, map[string]string{"deleted": id})
 }
 
 // ErrInjected429 is a sentinel for faultinject rules on the
@@ -885,7 +875,7 @@ func decodeBatch(vocab *event.Vocabulary, body []byte, maxTicks int) (pb *event.
 	return pb, true, nil
 }
 
-// maxBodyPrealloc caps the buffer readBody allocates up front from a
+// maxBodyPrealloc caps the buffer ReadBody allocates up front from a
 // declared Content-Length. The cap bounds, rather than prevents, what a
 // header that lies can make the server allocate before a body byte
 // arrives. 256 KiB holds a batch of about 10,000 ticks at the ~25 bytes
@@ -893,19 +883,47 @@ func decodeBatch(vocab *event.Vocabulary, body []byte, maxTicks int) (pb *event.
 // as it arrives.
 const maxBodyPrealloc = 256 << 10
 
-// bodyReadTimeout bounds the body read of one ticks request, so a client
-// that sends a header and then stalls is cut off instead of pinning its
+// bodyReadTimeout bounds the body read of one request, so a client that
+// sends a header and then stalls is cut off instead of pinning its
 // connection and read buffer. A variable only so tests can shorten it.
 var bodyReadTimeout = 30 * time.Second
 
-// readBody reads a request body whole through one bytes.Buffer: a body of
-// known length up to maxBodyPrealloc lands in one allocation, and a
-// longer or chunked one grows as it arrives. A body shorter than its
-// declared length fails the read (net/http reports io.ErrUnexpectedEOF).
-func readBody(r *http.Request) ([]byte, error) {
+// armBodyDeadline bounds the read of a request's body to bodyReadTimeout
+// from now. Every handler that reads a body calls it first, before any
+// early answer: net/http drains the unread body of an answered request
+// under the same deadline, so a stalled client is cut off there too.
+// The next request on the connection starts with net/http's own
+// deadlines. A writer that cannot take a deadline reads unbounded.
+func armBodyDeadline(w http.ResponseWriter) *http.ResponseController {
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
+	return rc
+}
+
+// progressReader re-arms the body deadline before every read of a
+// streamed body, so the bound is on each wait for the client's next
+// bytes rather than on the whole upload, and time the handler spends
+// blocked on its shard between reads never counts against it.
+type progressReader struct {
+	r  io.Reader
+	rc *http.ResponseController
+}
+
+func (p progressReader) Read(b []byte) (int, error) {
+	_ = p.rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
+	return p.r.Read(b)
+}
+
+// ReadBody reads a body whole through one bytes.Buffer: a body whose
+// declared length is up to maxBodyPrealloc lands in one allocation, and
+// a longer, undeclared (negative) or chunked one grows as it arrives. A
+// body shorter than its declared length fails the read (net/http
+// reports io.ErrUnexpectedEOF). cescd reads request bodies with it and
+// the client package its responses.
+func ReadBody(body io.Reader, declared int64) ([]byte, error) {
 	var b bytes.Buffer
-	b.Grow(int(min(max(r.ContentLength, 0), maxBodyPrealloc)) + bytes.MinRead)
-	if _, err := b.ReadFrom(r.Body); err != nil {
+	b.Grow(int(min(max(declared, 0), maxBodyPrealloc)) + bytes.MinRead)
+	if _, err := b.ReadFrom(body); err != nil {
 		return nil, err
 	}
 	return b.Bytes(), nil
@@ -927,12 +945,13 @@ func readBody(r *http.Request) ([]byte, error) {
 // absorbed by the dedup watermark.
 func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	ingestStart := time.Now()
+	rc := armBodyDeadline(w)
 	sess, err := s.fetchSession(r.PathValue("id"))
 	if err != nil {
 		if errors.Is(err, ErrNoSession) {
-			writeError(w, http.StatusNotFound, "no such session")
+			WriteError(w, http.StatusNotFound, "no such session")
 		} else {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			WriteError(w, http.StatusInternalServerError, "%v", err)
 		}
 		return
 	}
@@ -959,31 +978,28 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("seq"); q != "" {
 		v, err := strconv.ParseUint(q, 10, 64)
 		if err != nil || v == 0 {
-			writeError(w, http.StatusBadRequest, "seq must be a positive integer")
+			WriteError(w, http.StatusBadRequest, "seq must be a positive integer")
 			return
 		}
 		seq = v
 	}
-	// Bound the body read. A failed read keeps the bound, so net/http's
-	// drain of the unread rest after the 400 cannot stall either. A
-	// complete read lifts it: left armed, net/http's background read
-	// would hit it during a ?wait=1 wait and cancel the request context
-	// (Go 1.24's net/http also clears it when that read starts; this
-	// does not rely on that). A writer that cannot take a deadline reads
-	// unbounded.
-	rc := http.NewResponseController(w)
-	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
+	// A failed read keeps the body deadline, so net/http's drain of the
+	// unread rest after the 400 cannot stall either. A complete read
+	// lifts it: left armed, net/http's background read would hit it
+	// during a ?wait=1 wait and cancel the request context (Go 1.24's
+	// net/http also clears it when that read starts; this does not rely
+	// on that).
 	decodeStart := time.Now()
-	body, err := readBody(r)
+	body, err := ReadBody(r.Body, r.ContentLength)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		WriteError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 	_ = rc.SetReadDeadline(time.Time{})
 	packed, lenient, err := decodeBatch(sess.vocab, body, s.cfg.MaxBatchTicks)
 	var refused *decodeError
 	if errors.As(err, &refused) {
-		writeError(w, refused.status, "%s", refused.msg)
+		WriteError(w, refused.status, "%s", refused.msg)
 		return
 	}
 	if lenient {
@@ -1003,7 +1019,7 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		s.metrics.rejectedTotal.Add(1)
 		w.Header().Set("X-Cesc-Quota", "ticks")
 		w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
-		writeError(w, http.StatusTooManyRequests,
+		WriteError(w, http.StatusTooManyRequests,
 			"tenant %s over its tick rate; retry in %s", sess.tenant, retryAfter)
 		return
 	}
@@ -1011,10 +1027,10 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrInjected429) {
 			s.metrics.rejectedTotal.Add(1)
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "%v", err)
+			WriteError(w, http.StatusTooManyRequests, "%v", err)
 			return
 		}
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	b := &batch{sess: sess, packed: packed, raw: body,
@@ -1035,19 +1051,19 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		// resolves the ID again and revives the session.
 		sess.ingestMu.Unlock()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusConflict, "session %s was paged out; retry", sess.id)
+		WriteError(w, http.StatusConflict, "session %s was paged out; retry", sess.id)
 		return
 	}
 	if sess.frozen {
 		sess.ingestMu.Unlock()
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusConflict, "session %s is migrating to a new owner; retry", sess.id)
+		WriteError(w, http.StatusConflict, "session %s is migrating to a new owner; retry", sess.id)
 		return
 	}
 	if seq > 0 && seq <= sess.lastSeq {
 		sess.ingestMu.Unlock()
 		s.metrics.batchesDeduped.Add(1)
-		writeJSON(w, http.StatusOK, map[string]any{"accepted": 0, "seq": seq, "duplicate": true})
+		writeAck(w, http.StatusOK, ackJSON{Seq: seq, Duplicate: true})
 		return
 	}
 	snapDue := false
@@ -1075,11 +1091,11 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 			Start: enqStart, Dur: time.Since(enqStart), Ticks: nticks, Note: "queue full",
 		})
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "shard %d queue full", sess.shard)
+		WriteError(w, http.StatusTooManyRequests, "shard %d queue full", sess.shard)
 		return
 	default:
 		sess.ingestMu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	// The batch is accepted: advance the dedup watermark now, so a
@@ -1095,7 +1111,7 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 			s.metrics.walErrors.Add(1)
 			// The batch is applied in memory but not durable; 500 asks
 			// the client to retry, and the retry is deduped above.
-			writeError(w, http.StatusInternalServerError, "journal append: %v", err)
+			WriteError(w, http.StatusInternalServerError, "journal append: %v", err)
 			return
 		}
 	}
@@ -1117,15 +1133,12 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		// Simulated response-path failure after the batch was accepted:
 		// the client sees an error and retries a batch the server has
 		// already applied — the dedup watermark makes that exactly-once.
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	resp := map[string]any{"accepted": nticks}
-	if seq > 0 {
-		resp["seq"] = seq
-	}
-	if traceID != "" && s.tracer.Enabled() {
-		resp["trace"] = traceID
+	ack := ackJSON{Accepted: nticks, Seq: seq}
+	if s.tracer.Enabled() {
+		ack.Trace = traceID
 	}
 	ingestKind := ""
 	if r.Header.Get("X-Cesc-Forwarded") != "" {
@@ -1133,18 +1146,20 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	}
 	if wait {
 		<-b.done
-		resp["processed"] = true
+		processed := true
+		ack.Processed = &processed
 		s.recordIngest(sess, traceID, parent, ingestKind, ingestStart, nticks)
-		writeJSON(w, http.StatusOK, resp)
+		writeAck(w, http.StatusOK, ack)
 		return
 	}
 	if shedWait {
 		s.metrics.shedWait.Add(1)
 		w.Header().Set("X-Cesc-Shed", "wait")
-		resp["processed"] = false
+		processed := false
+		ack.Processed = &processed
 	}
 	s.recordIngest(sess, traceID, parent, ingestKind, ingestStart, nticks)
-	writeJSON(w, http.StatusAccepted, resp)
+	writeAck(w, http.StatusAccepted, ack)
 }
 
 // recordIngest closes the whole-request span of one accepted tick batch.
@@ -1193,12 +1208,13 @@ const vcdChunkTicks = 256
 // others are events. Backpressure is applied by blocking the upload,
 // never by dropping mid-stream.
 func (s *Server) handleVCD(w http.ResponseWriter, r *http.Request) {
+	rc := armBodyDeadline(w)
 	sess, err := s.fetchSession(r.PathValue("id"))
 	if err != nil {
 		if errors.Is(err, ErrNoSession) {
-			writeError(w, http.StatusNotFound, "no such session")
+			WriteError(w, http.StatusNotFound, "no such session")
 		} else {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			WriteError(w, http.StatusInternalServerError, "%v", err)
 		}
 		return
 	}
@@ -1277,7 +1293,7 @@ func (s *Server) handleVCD(w http.ResponseWriter, r *http.Request) {
 		chunk.Reset(sess.vocab.Len())
 		return nil
 	}
-	err = trace.StreamVCD(r.Body, kindOf, func(st event.State) error {
+	err = trace.StreamVCD(progressReader{r.Body, rc}, kindOf, func(st event.State) error {
 		chunk.AppendState(sess.vocab, st)
 		raw = AppendTick(raw, stateJSON(st))
 		if chunk.Len() >= vcdChunkTicks {
@@ -1286,6 +1302,8 @@ func (s *Server) handleVCD(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err == nil {
+		// The body is in: lifted for the same reason as handleTicks'.
+		_ = rc.SetReadDeadline(time.Time{})
 		err = flush()
 	}
 	if err != nil {
@@ -1297,10 +1315,11 @@ func (s *Server) handleVCD(w http.ResponseWriter, r *http.Request) {
 			code = http.StatusConflict
 			w.Header().Set("Retry-After", "1")
 		}
-		writeError(w, code, "%v", err)
+		WriteError(w, code, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"accepted": total, "processed": true})
+	processed := true
+	writeAck(w, http.StatusOK, ackJSON{Accepted: total, Processed: &processed})
 }
 
 // handleVerdicts revives a cold session to answer: the verdict state is
@@ -1310,9 +1329,9 @@ func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 	sess, err := s.fetchSession(r.PathValue("id"))
 	if err != nil {
 		if errors.Is(err, ErrNoSession) {
-			writeError(w, http.StatusNotFound, "no such session")
+			WriteError(w, http.StatusNotFound, "no such session")
 		} else {
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			WriteError(w, http.StatusInternalServerError, "%v", err)
 		}
 		return
 	}
@@ -1325,5 +1344,5 @@ func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 		Trace: r.Header.Get("X-Cesc-Trace"), Session: sess.id,
 		Stage: obs.StageVerdict, Start: start, Dur: dur,
 	})
-	writeJSON(w, http.StatusOK, body)
+	writeVerdicts(w, body)
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -410,22 +409,19 @@ func tickLen(t StateJSON) int {
 // AppendTick appends t as one NDJSON ingest line to dst and returns the
 // extended slice. The bytes are exactly what json.Encoder writes for t:
 // events in slice order, props with sorted keys, empty fields omitted,
-// a trailing newline. A name of plain ASCII that needs no escape is
-// copied straight in; any other name takes json.Marshal, so HTML
-// escaping, U+2028/2029 and invalid UTF-8 come out as encoding/json
-// renders them. Only such a name, or a tick with more props than the
-// stack scratch holds, allocates once dst has room.
+// names escaped as appendJSONString does, a trailing newline. Only a
+// tick with more props than the stack scratch holds allocates once dst
+// has room.
 func AppendTick(dst []byte, t StateJSON) []byte {
+	return append(appendState(dst, t), '\n')
+}
+
+// appendState appends t as json.Marshal writes it.
+func appendState(dst []byte, t StateJSON) []byte {
 	dst = append(dst, '{')
 	if len(t.Events) > 0 {
-		dst = append(dst, `"events":[`...)
-		for i, e := range t.Events {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendJSONString(dst, e)
-		}
-		dst = append(dst, ']')
+		dst = append(dst, `"events":`...)
+		dst = appendStrings(dst, t.Events)
 	}
 	if len(t.Props) > 0 {
 		if len(t.Events) > 0 {
@@ -451,20 +447,7 @@ func AppendTick(dst []byte, t StateJSON) []byte {
 		}
 		dst = append(dst, '}')
 	}
-	return append(dst, '}', '\n')
-}
-
-// appendJSONString appends s as a JSON string literal.
-func appendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(dst, q...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
+	return append(dst, '}')
 }
 
 // EncodeState converts an engine-side state to the wire form — exported

@@ -66,6 +66,9 @@ func TestAppendTickMatchesEncoder(t *testing.T) {
 // TestAppendTickZeroAlloc holds the encoder at 0 allocs once dst has
 // room, for ticks of plain names with up to 16 props.
 func TestAppendTickZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
 	ticks := tickCases[:5]
 	buf := make([]byte, 0, 4096)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -91,6 +94,9 @@ func TestAppendTicks(t *testing.T) {
 		t.Fatalf("AppendTicks = %q, want %q", got, want)
 	}
 	plain := tickCases[:5]
+	if raceEnabled {
+		return // the race detector adds allocations
+	}
 	if allocs := testing.AllocsPerRun(100, func() { AppendTicks(nil, plain) }); allocs != 1 {
 		t.Fatalf("AppendTicks allocates %.1f/op for plain names, want 1", allocs)
 	}
@@ -268,25 +274,23 @@ func TestTicksBodyRead(t *testing.T) {
 	}
 }
 
-// TestReadBodyAllocs holds a body with a Content-Length up to the
+// TestReadBodyAllocs holds a body with a declared length up to the
 // pre-allocation clamp at one allocation, and reads a longer one whole.
 func TestReadBodyAllocs(t *testing.T) {
 	body := strictBody(4096)
 	rd := bytes.NewReader(body)
-	r := &http.Request{Body: io.NopCloser(rd), ContentLength: int64(len(body))}
 	allocs := testing.AllocsPerRun(20, func() {
 		rd.Reset(body)
-		if got, err := readBody(r); err != nil || !bytes.Equal(got, body) {
-			t.Fatalf("readBody: %d bytes, err %v", len(got), err)
+		if got, err := ReadBody(rd, int64(len(body))); err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("ReadBody: %d bytes, err %v", len(got), err)
 		}
 	})
-	if len(body) > maxBodyPrealloc || allocs != 1 {
-		t.Fatalf("readBody of %d bytes allocates %.1f/op, want 1", len(body), allocs)
+	if len(body) > maxBodyPrealloc || (allocs != 1 && !raceEnabled) {
+		t.Fatalf("ReadBody of %d bytes allocates %.1f/op, want 1", len(body), allocs)
 	}
 	long := bytes.Repeat([]byte("x"), 3*maxBodyPrealloc)
-	r = &http.Request{Body: io.NopCloser(bytes.NewReader(long)), ContentLength: int64(len(long))}
-	if got, err := readBody(r); err != nil || !bytes.Equal(got, long) {
-		t.Fatalf("readBody past the clamp: %d of %d bytes, err %v", len(got), len(long), err)
+	if got, err := ReadBody(bytes.NewReader(long), int64(len(long))); err != nil || !bytes.Equal(got, long) {
+		t.Fatalf("ReadBody past the clamp: %d of %d bytes, err %v", len(got), len(long), err)
 	}
 }
 
@@ -319,15 +323,17 @@ func TestTicksBodyShort(t *testing.T) {
 	}
 }
 
-// TestTicksBodyDeadline holds ticks bodies to bodyReadTimeout. A raw
+// TestTicksBodyDeadline holds request bodies to bodyReadTimeout. A raw
 // client that sends a header and part of its body, then stalls with the
 // connection open, must get an answer or a close within the deadline
-// plus slack. With ticks slowed so that a ?wait=1 wait outlasts the
-// deadline, two such requests on one keep-alive connection must both
-// succeed with their request context still live when the handler
-// returns: the deadline is lifted once the body is read, so it carries
-// over neither into net/http's background read during the wait nor into
-// the next request.
+// plus slack: on the ticks, specs, sessions and VCD endpoints, and on a
+// ticks request answered 404 before its body is read, whose unread body
+// net/http drains under the same deadline. With ticks slowed so that a
+// ?wait=1 wait outlasts the deadline, two such requests on one
+// keep-alive connection must both succeed with their request context
+// still live when the handler returns: the deadline is lifted once the
+// body is read, so it carries over neither into net/http's background
+// read during the wait nor into the next request.
 func TestTicksBodyDeadline(t *testing.T) {
 	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
 	bodyReadTimeout = 200 * time.Millisecond
@@ -352,26 +358,36 @@ func TestTicksBodyDeadline(t *testing.T) {
 	sess := createSession(t, ts.URL, "detect", "OcpSimpleRead")
 	addr := strings.TrimPrefix(ts.URL, "http://")
 
-	stalled, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stalled.Close()
 	const slack = 2 * time.Second
-	start := time.Now()
-	part := strictBody(1)
-	fmt.Fprintf(stalled, "POST /sessions/%s/ticks HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", sess.ID, 10*len(part), part)
-	stalled.SetReadDeadline(start.Add(bodyReadTimeout + slack))
-	if resp, err := http.ReadResponse(bufio.NewReader(stalled), nil); err == nil {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("stalled body: status %d, want 400", resp.StatusCode)
+	for _, tc := range []struct {
+		name, path, part string
+		want             int
+	}{
+		{"ticks", "/sessions/" + sess.ID + "/ticks", string(strictBody(1)), http.StatusBadRequest},
+		{"ticks unknown session", "/sessions/nosuchsession/ticks", string(strictBody(1)), http.StatusNotFound},
+		{"specs", "/specs", "chart Stalled {\n", http.StatusBadRequest},
+		{"sessions", "/sessions", `{"specs":["OcpSimpleRead"`, http.StatusBadRequest},
+		{"vcd", "/sessions/" + sess.ID + "/vcd", "$timescale 1ns $end\n$scope module top $end\n", http.StatusBadRequest},
+	} {
+		stalled, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
 		}
-	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		t.Fatalf("stalled body: no answer or close within %v", bodyReadTimeout+slack)
-	}
-	if d := time.Since(start); d > bodyReadTimeout+slack {
-		t.Fatalf("stalled body cut off after %v, want within %v", d, bodyReadTimeout+slack)
+		start := time.Now()
+		fmt.Fprintf(stalled, "POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", tc.path, 10*len(tc.part), tc.part)
+		stalled.SetReadDeadline(start.Add(bodyReadTimeout + slack))
+		if resp, err := http.ReadResponse(bufio.NewReader(stalled), nil); err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s: stalled body: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+			}
+		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Errorf("%s: stalled body: no answer or close within %v", tc.name, bodyReadTimeout+slack)
+		}
+		if d := time.Since(start); d > bodyReadTimeout+slack {
+			t.Errorf("%s: stalled body cut off after %v, want within %v", tc.name, d, bodyReadTimeout+slack)
+		}
+		stalled.Close()
 	}
 
 	conn, err := net.Dial("tcp", addr)
