@@ -53,6 +53,8 @@ fuzz:
 	$(GO) test ./internal/server/ -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server/ -run='^$$' -fuzz=FuzzAppendTick -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server/ -run='^$$' -fuzz=FuzzReadBodies -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/server/ -run='^$$' -fuzz=FuzzBatchDecode -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/jsonx/ -run='^$$' -fuzz=FuzzLexer -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/mine/ -run='^$$' -fuzz=FuzzMine -fuzztime=$(FUZZTIME)
 
 # Spec-mining suite: the miner and its protocol models under the race

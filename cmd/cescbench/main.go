@@ -232,32 +232,6 @@ func suite() ([]namedBench, error) {
 				eng.StepPacked(packed8[i%len(packed8)])
 			}
 		}},
-		{"ServerIngestDecodePackTick", func(b *testing.B) {
-			// The per-tick half of the daemon's decode-once ingest:
-			// NDJSON wire form -> event.State -> one packed valuation
-			// shared by every monitor in the session.
-			vocab := event.NewVocabulary()
-			if err := vocab.DeclareSupport(prog6.Support()); err != nil {
-				b.Fatal(err)
-			}
-			lines := make([][]byte, 64)
-			for i := range lines {
-				data, err := json.Marshal(server.EncodeState(traffic[i]))
-				if err != nil {
-					b.Fatal(err)
-				}
-				lines[i] = data
-			}
-			var buf event.Packed
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var tick server.StateJSON
-				if err := json.Unmarshal(lines[i%len(lines)], &tick); err != nil {
-					b.Fatal(err)
-				}
-				buf = vocab.PackInto(tick.ToState(), buf)
-			}
-		}},
 		{"EncodeTicks64TickFig6OCP", func(b *testing.B) {
 			// The client's NDJSON encoder over the 64 ticks the
 			// BatchDecode64TickFig6OCP body holds, into a reused buffer.

@@ -28,8 +28,9 @@ import (
 
 // newSplitCluster mirrors newTestCluster but takes a per-node server
 // configuration, so one node can run with a deliberately hot admission
-// governor while its peer stays cool. WALDir is filled in per node.
-func newSplitCluster(t *testing.T, refresh time.Duration, cfgs map[string]server.Config, names ...string) *testCluster {
+// governor while its peer stays cool, and the peer HTTP client (nil for
+// the default). WALDir is filled in per node.
+func newSplitCluster(t *testing.T, refresh time.Duration, hc *http.Client, cfgs map[string]server.Config, names ...string) *testCluster {
 	t.Helper()
 	tc := &testCluster{
 		t:     t,
@@ -63,6 +64,7 @@ func newSplitCluster(t *testing.T, refresh time.Duration, cfgs map[string]server
 			Peers:        peers,
 			RefreshEvery: refresh,
 			StandbyDir:   filepath.Join(dir, "standby"),
+			HTTPClient:   hc,
 			Server:       scfg,
 		})
 		if err != nil {
@@ -107,7 +109,7 @@ func TestClusterOverloadRoutesCreatesToCoolerPeer(t *testing.T) {
 	hotCfg.Faults = faultinject.New(1).Add(faultinject.Rule{
 		Point: "governor.force.sessions", Kind: faultinject.KindError, Every: 1,
 	})
-	tc := newSplitCluster(t, 20*time.Millisecond, map[string]server.Config{
+	tc := newSplitCluster(t, 20*time.Millisecond, nil, map[string]server.Config{
 		"hot": hotCfg, "cool": base,
 	}, "hot", "cool")
 	hot, cool := tc.nodes["hot"], tc.nodes["cool"]

@@ -108,6 +108,8 @@ type Config struct {
 	// its own).
 	StandbyDir string
 	// HTTPClient is used for peer-to-peer calls (default: 5s timeout).
+	// Proxied client requests go through its Transport without its
+	// Timeout.
 	HTTPClient *http.Client
 	// Server is the wrapped daemon's configuration. Its IDFilter is
 	// overwritten: the node mints only session IDs it owns.
@@ -122,6 +124,7 @@ type Node struct {
 	srv     *server.Server
 	mux     *http.ServeMux
 	hc      *http.Client
+	proxyHC *http.Client // hc without its total timeout
 	metrics *nodeMetrics
 
 	mu         sync.RWMutex // guards ring, draining, probeFails, peerLoads
@@ -172,6 +175,11 @@ func New(cfg Config) (*Node, error) {
 	if n.hc == nil {
 		n.hc = &http.Client{Timeout: 5 * time.Second}
 	}
+	// A proxied ticks body may trickle in for as long as the owner's body
+	// deadline allows, and a ?wait=1 batch waits for its verdicts, so the
+	// hop has no total timeout: the inbound request's context bounds it,
+	// and the shared Transport's dial timeout bounds a dead peer.
+	n.proxyHC = &http.Client{Transport: n.hc.Transport, CheckRedirect: n.hc.CheckRedirect, Jar: n.hc.Jar}
 	members := append([]Member{n.self}, cfg.Peers...)
 	n.ring = NewRing(1, cfg.VNodes, members)
 
@@ -910,7 +918,7 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, m Member) {
 		out.Header.Set("X-Cesc-Parent", token)
 	}
 	start := time.Now()
-	resp, err := n.hc.Do(out)
+	resp, err := n.proxyHC.Do(out)
 	if trace != "" {
 		sp := obs.Span{
 			Trace: trace, Stage: obs.StageProxy, Kind: "proxy",

@@ -1,9 +1,10 @@
 package event
 
 import (
+	"bytes"
 	"fmt"
-	"unicode/utf16"
-	"unicode/utf8"
+
+	"repro/internal/jsonx"
 )
 
 // PackedBatch is a dense column of packed valuations: n ticks, each
@@ -36,9 +37,8 @@ func (b *PackedBatch) Tick(i int) Packed {
 }
 
 // AppendState packs s onto v's slots as a new tick at the end of the
-// batch — how ticks that arrive as a State (a VCD stream, an NDJSON body
-// the strict decoder refused, a JSON journal frame) join a batch. The
-// batch must have been Reset to v.Len() slots.
+// batch — how ticks that arrive as a State (a VCD stream, a JSON journal
+// frame) join a batch. The batch must have been Reset to v.Len() slots.
 func (b *PackedBatch) AppendState(v *Vocabulary, s State) {
 	v.pack(s, b.appendTick())
 }
@@ -68,20 +68,26 @@ func (b *PackedBatch) appendTick() Packed {
 //
 // — directly into a PackedBatch, packing each named symbol into its
 // vocabulary slot as the bytes are scanned. No intermediate maps, no
-// event.State, and no per-tick allocations: symbol names are resolved
-// against the vocabulary via sub-slice map lookups, escape sequences are
-// unescaped into a reused scratch buffer, and ticks land in the batch's
-// single backing array. The packing semantics match
-// Vocabulary.PackInto(StateJSON.ToState(tick)) exactly: undeclared
-// symbols are dropped, false props are ignored.
+// event.State, and no per-tick allocations: names are resolved against
+// the vocabulary via sub-slice map lookups, and ticks land in the
+// batch's single backing array.
 //
-// The decoder is strict where encoding/json is lenient (unknown or
-// duplicate fields, non-string event entries, trailing garbage all
-// error); callers fall back to the encoding/json path on any error, so
-// strictness costs speed only, never behaviour.
+// It is the one decoder of a tick's bytes. It packs exactly what
+// encoding/json decoding each value into server.StateJSON, then ToState
+// and Vocabulary.PackInto, would pack, and refuses what that refuses:
+// keys match case-insensitively, an unknown field is skipped whatever
+// its value, a top-level null is an empty tick, a repeated events field
+// replaces the list and events:null clears it, repeated props keys merge,
+// "p":false or "p":null clears p and props:null clears every prop.
+// Undeclared symbols are dropped.
 type BatchDecoder struct {
-	vocab   *Vocabulary
-	scratch []byte
+	vocab *Vocabulary
+	lex   jsonx.Lexer
+	// kept is the backing array of the Events slice encoding/json reuses
+	// for every events field of one tick, as slots (-1: no event). It is
+	// kept only for a tick whose events field repeats: a null element of
+	// a later list keeps what an earlier list left at its index.
+	kept []int
 }
 
 // NewBatchDecoder returns a decoder that packs against v's slots.
@@ -89,24 +95,22 @@ func NewBatchDecoder(v *Vocabulary) *BatchDecoder {
 	return &BatchDecoder{vocab: v}
 }
 
-// Decode scans data as whitespace-separated tick objects into dst
+// Decode scans data as whitespace-separated tick values into dst
 // (which is Reset first). When maxTicks > 0 and the stream holds more
 // ticks, decoding stops with errTooManyTicks after maxTicks+1 ticks —
 // enough for callers to distinguish "over limit" from a short batch.
-// It returns the number of ticks decoded.
+// It returns the number of ticks decoded; an error names its tick.
 func (d *BatchDecoder) Decode(data []byte, dst *PackedBatch, maxTicks int) (int, error) {
 	dst.Reset(d.vocab.Len())
-	i := skipSpace(data, 0)
-	for i < len(data) {
+	l := &d.lex
+	l.Reset(data)
+	for l.Space(); l.Pos < len(data); l.Space() {
 		if maxTicks > 0 && dst.Len() >= maxTicks {
 			return dst.Len() + 1, errTooManyTicks
 		}
-		var err error
-		i, err = d.tick(data, i, dst.appendTick())
-		if err != nil {
-			return 0, err
+		if err := d.tick(dst.appendTick(), false); err != nil {
+			return 0, fmt.Errorf("tick %d: %w", dst.Len()-1, err)
 		}
-		i = skipSpace(data, i)
 	}
 	return dst.Len(), nil
 }
@@ -117,290 +121,218 @@ var errTooManyTicks = fmt.Errorf("event: batch exceeds tick limit")
 // IsTooManyTicks reports whether err is the decoder's over-limit error.
 func IsTooManyTicks(err error) bool { return err == errTooManyTicks }
 
-func skipSpace(data []byte, i int) int {
-	for i < len(data) {
-		switch data[i] {
-		case ' ', '\t', '\n', '\r':
-			i++
-		default:
-			return i
-		}
+// The StateJSON fields a tick key selects.
+const (
+	fieldOther = iota
+	fieldEvents
+	fieldProps
+)
+
+// tickField matches key to a field as encoding/json does: exactly, or
+// else case-insensitively.
+func tickField(key []byte) int {
+	switch string(key) {
+	case "events":
+		return fieldEvents
+	case "props":
+		return fieldProps
 	}
-	return i
+	switch {
+	case bytes.EqualFold(key, []byte("events")):
+		return fieldEvents
+	case bytes.EqualFold(key, []byte("props")):
+		return fieldProps
+	}
+	return fieldOther
 }
 
-// tick parses one {"events":[...],"props":{...}} object starting at
-// data[i], setting slots on p, and returns the index after it.
-func (d *BatchDecoder) tick(data []byte, i int, p Packed) (int, error) {
-	if i >= len(data) || data[i] != '{' {
-		return 0, fmt.Errorf("event: tick %d: expected '{'", i)
+// tick decodes one tick, an object or null, into the zeroed p. A tick
+// whose events field repeats is decoded again from its start with
+// replay set, which sets the event slots from d.kept at the end.
+func (d *BatchDecoder) tick(p Packed, replay bool) error {
+	l := &d.lex
+	start := l.Pos // Decode leaves it on the tick's first byte
+	if l.Data[start] != '{' {
+		if l.Null() {
+			return nil
+		}
+		return l.Errorf("want '{' or null")
 	}
-	i = skipSpace(data, i+1)
-	if i < len(data) && data[i] == '}' {
-		return i + 1, nil
-	}
+	l.Pos++
 	var sawEvents, sawProps bool
-	for {
-		key, j, err := d.str(data, i)
+	n := 0 // with replay, the length of the last events list
+	for more := false; ; {
+		key, done, err := l.NextKey(&more)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		i = skipSpace(data, j)
-		if i >= len(data) || data[i] != ':' {
-			return 0, fmt.Errorf("event: offset %d: expected ':'", i)
+		if done {
+			break
 		}
-		i = skipSpace(data, i+1)
-		switch string(key) {
-		case "events":
-			if sawEvents {
-				return 0, fmt.Errorf("event: duplicate events field")
+		switch tickField(key) {
+		case fieldEvents:
+			switch {
+			case replay:
+				n, err = d.keptEvents()
+			case sawEvents:
+				p.Zero()
+				l.Pos, d.kept = start, d.kept[:0]
+				return d.tick(p, true)
+			default:
+				err = d.events(p)
 			}
 			sawEvents = true
-			i, err = d.events(data, i, p)
-		case "props":
-			if sawProps {
-				return 0, fmt.Errorf("event: duplicate props field")
-			}
+		case fieldProps:
+			err = d.props(p, sawProps)
 			sawProps = true
-			i, err = d.props(data, i, p)
 		default:
-			return 0, fmt.Errorf("event: unknown tick field %q", key)
+			err = l.Skip(1)
 		}
 		if err != nil {
-			return 0, err
-		}
-		i = skipSpace(data, i)
-		if i >= len(data) {
-			return 0, fmt.Errorf("event: unterminated tick object")
-		}
-		switch data[i] {
-		case ',':
-			i = skipSpace(data, i+1)
-		case '}':
-			return i + 1, nil
-		default:
-			return 0, fmt.Errorf("event: offset %d: expected ',' or '}'", i)
+			return err
 		}
 	}
+	if replay {
+		for _, slot := range d.kept[:n] {
+			if slot >= 0 {
+				p.Set(slot)
+			}
+		}
+	}
+	return nil
 }
 
-// events parses null or an array of event-name strings, setting the
-// slot of every name the vocabulary declares as an event.
-func (d *BatchDecoder) events(data []byte, i int, p Packed) (int, error) {
-	if next, ok := literal(data, i, "null"); ok {
-		return next, nil
+// events decodes a tick's first events value, null or an array, setting
+// the slot of every element string the vocabulary declares as an event.
+// A null element names no event. This is ingest's hottest loop, so it
+// scans with a local index and sets the lexer's position only around
+// the lexer's calls.
+func (d *BatchDecoder) events(p Packed) error {
+	l := &d.lex
+	b := l.Data
+	i := jsonx.Space(b, l.Pos)
+	if i == len(b) || b[i] != '[' {
+		if l.Null() {
+			return nil
+		}
+		return l.Errorf("want '[' or null")
 	}
-	if i >= len(data) || data[i] != '[' {
-		return 0, fmt.Errorf("event: offset %d: expected events array", i)
-	}
-	i = skipSpace(data, i+1)
-	if i < len(data) && data[i] == ']' {
-		return i + 1, nil
+	if i = jsonx.Space(b, i+1); i < len(b) && b[i] == ']' {
+		l.Pos = i + 1
+		return nil
 	}
 	for {
-		name, j, err := d.str(data, i)
-		if err != nil {
-			return 0, err
-		}
-		if slot, ok := d.vocab.events[string(name)]; ok {
-			p.Set(slot)
-		}
-		i = skipSpace(data, j)
-		if i >= len(data) {
-			return 0, fmt.Errorf("event: unterminated events array")
-		}
-		switch data[i] {
-		case ',':
-			i = skipSpace(data, i+1)
-		case ']':
-			return i + 1, nil
-		default:
-			return 0, fmt.Errorf("event: offset %d: expected ',' or ']'", i)
-		}
-	}
-}
-
-// props parses null or an object of name:bool pairs, setting the slot
-// of every true name the vocabulary declares as a prop.
-func (d *BatchDecoder) props(data []byte, i int, p Packed) (int, error) {
-	if next, ok := literal(data, i, "null"); ok {
-		return next, nil
-	}
-	if i >= len(data) || data[i] != '{' {
-		return 0, fmt.Errorf("event: offset %d: expected props object", i)
-	}
-	i = skipSpace(data, i+1)
-	if i < len(data) && data[i] == '}' {
-		return i + 1, nil
-	}
-	for {
-		name, j, err := d.str(data, i)
-		if err != nil {
-			return 0, err
-		}
-		i = skipSpace(data, j)
-		if i >= len(data) || data[i] != ':' {
-			return 0, fmt.Errorf("event: offset %d: expected ':'", i)
-		}
-		i = skipSpace(data, i+1)
-		if next, ok := literal(data, i, "true"); ok {
-			if slot, ok := d.vocab.props[string(name)]; ok {
+		if i < len(b) && b[i] == '"' {
+			name, next, err := l.StrAt(i)
+			if err != nil {
+				return err
+			}
+			if slot, ok := d.vocab.events[string(name)]; ok {
 				p.Set(slot)
 			}
 			i = next
-		} else if next, ok := literal(data, i, "false"); ok {
-			i = next
+		} else if l.Pos = i; l.Null() {
+			i = l.Pos
 		} else {
-			return 0, fmt.Errorf("event: offset %d: expected true or false", i)
+			return l.Errorf("want a string or null")
 		}
-		i = skipSpace(data, i)
-		if i >= len(data) {
-			return 0, fmt.Errorf("event: unterminated props object")
+		if i = jsonx.Space(b, i); i == len(b) {
+			l.Pos = i
+			return l.Errorf("unterminated array")
 		}
-		switch data[i] {
+		switch b[i] {
 		case ',':
-			i = skipSpace(data, i+1)
-		case '}':
-			return i + 1, nil
+			i = jsonx.Space(b, i+1)
+		case ']':
+			l.Pos = i + 1
+			return nil
 		default:
-			return 0, fmt.Errorf("event: offset %d: expected ',' or '}'", i)
+			l.Pos = i
+			return l.Errorf("want ',' or ']'")
 		}
 	}
 }
 
-// literal matches a bare JSON literal at data[i] and returns the index
-// after it. The byte following must not extend an identifier, so
-// "nullx" does not match "null".
-func literal(data []byte, i int, lit string) (int, bool) {
-	if i+len(lit) > len(data) || string(data[i:i+len(lit)]) != lit {
-		return 0, false
+// keptEvents decodes an events value into d.kept as encoding/json
+// decodes it into the tick's Events slice, and returns the list's
+// length: null or [] drops the slice; element i of a list overwrites
+// index i of the slice's backing array, except that a null element
+// leaves what a former list put there (or no event).
+func (d *BatchDecoder) keptEvents() (int, error) {
+	l := &d.lex
+	if l.Null() {
+		d.kept = d.kept[:0]
+		return 0, nil
 	}
-	j := i + len(lit)
-	if j < len(data) {
-		switch c := data[j]; {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_':
-			return 0, false
-		}
+	if err := l.Expect('['); err != nil {
+		return 0, err
 	}
-	return j, true
-}
-
-// str parses the JSON string starting at data[i] (which must be '"').
-// It returns the decoded bytes — a sub-slice of data when no escapes
-// occur, the reused scratch buffer otherwise — and the index after the
-// closing quote. The returned slice is valid until the next str call.
-func (d *BatchDecoder) str(data []byte, i int) ([]byte, int, error) {
-	if i >= len(data) || data[i] != '"' {
-		return nil, 0, fmt.Errorf("event: offset %d: expected string", i)
-	}
-	i++
-	start := i
-	for i < len(data) {
-		c := data[i]
-		switch {
-		case c == '"':
-			return data[start:i], i + 1, nil
-		case c == '\\':
-			return d.strSlow(data, start, i)
-		case c < 0x20:
-			return nil, 0, fmt.Errorf("event: control byte in string")
+	for i, more := 0, false; ; i, more = i+1, true {
+		if done, err := l.NextElem(more); err != nil {
+			return 0, err
+		} else if done {
+			if i == 0 {
+				d.kept = d.kept[:0]
+			}
+			return i, nil
 		}
-		i++
-	}
-	return nil, 0, fmt.Errorf("event: unterminated string")
-}
-
-// strSlow finishes parsing a string that contains escapes, unescaping
-// into the scratch buffer.
-func (d *BatchDecoder) strSlow(data []byte, start, i int) ([]byte, int, error) {
-	d.scratch = append(d.scratch[:0], data[start:i]...)
-	for i < len(data) {
-		c := data[i]
-		switch {
-		case c == '"':
-			return d.scratch, i + 1, nil
-		case c < 0x20:
-			return nil, 0, fmt.Errorf("event: control byte in string")
-		case c != '\\':
-			d.scratch = append(d.scratch, c)
-			i++
-			continue
-		}
-		i++
-		if i >= len(data) {
-			return nil, 0, fmt.Errorf("event: unterminated escape")
-		}
-		switch data[i] {
-		case '"', '\\', '/':
-			d.scratch = append(d.scratch, data[i])
-			i++
-		case 'b':
-			d.scratch = append(d.scratch, '\b')
-			i++
-		case 'f':
-			d.scratch = append(d.scratch, '\f')
-			i++
-		case 'n':
-			d.scratch = append(d.scratch, '\n')
-			i++
-		case 'r':
-			d.scratch = append(d.scratch, '\r')
-			i++
-		case 't':
-			d.scratch = append(d.scratch, '\t')
-			i++
-		case 'u':
-			r, next, err := hexRune(data, i+1)
+		slot := -1
+		if l.Peek() == 'n' && l.Null() {
+			if i < len(d.kept) {
+				continue
+			}
+		} else {
+			name, err := l.Str()
 			if err != nil {
-				return nil, 0, err
+				return 0, err
 			}
-			i = next
-			if utf16.IsSurrogate(r) {
-				// A high surrogate may pair with an immediately following
-				// \uXXXX low surrogate; anything else is the replacement
-				// rune, matching encoding/json.
-				if i+1 < len(data) && data[i] == '\\' && data[i+1] == 'u' {
-					r2, next2, err := hexRune(data, i+2)
-					if err != nil {
-						return nil, 0, err
-					}
-					if dec := utf16.DecodeRune(r, r2); dec != utf8.RuneError {
-						r = dec
-						i = next2
-					} else {
-						r = utf8.RuneError
-					}
-				} else {
-					r = utf8.RuneError
-				}
+			if s, ok := d.vocab.events[string(name)]; ok {
+				slot = s
 			}
-			d.scratch = utf8.AppendRune(d.scratch, r)
-		default:
-			return nil, 0, fmt.Errorf("event: bad escape \\%c", data[i])
+		}
+		if i < len(d.kept) {
+			d.kept[i] = slot
+		} else {
+			d.kept = append(d.kept, slot)
 		}
 	}
-	return nil, 0, fmt.Errorf("event: unterminated string")
 }
 
-// hexRune parses the four hex digits of a \uXXXX escape starting at
-// data[i] and returns the rune plus the index after the digits.
-func hexRune(data []byte, i int) (rune, int, error) {
-	if i+4 > len(data) {
-		return 0, 0, fmt.Errorf("event: truncated \\u escape")
+// props decodes a props value, null or an object of true, false or null
+// members, into p as encoding/json merges it into the tick's Props map:
+// true sets a declared name's slot, false and null clear it. again says
+// an earlier props value may have set slots, which null then clears.
+func (d *BatchDecoder) props(p Packed, again bool) error {
+	l := &d.lex
+	if l.Null() {
+		if again {
+			for _, slot := range d.vocab.props {
+				p.Clear(slot)
+			}
+		}
+		return nil
 	}
-	var r rune
-	for _, c := range data[i : i+4] {
-		r <<= 4
+	if err := l.Expect('{'); err != nil {
+		return err
+	}
+	set := again // a slot may be set, so false and null must clear
+	for more := false; ; {
+		name, done, err := l.NextKey(&more)
+		if err != nil || done {
+			return err
+		}
 		switch {
-		case c >= '0' && c <= '9':
-			r |= rune(c - '0')
-		case c >= 'a' && c <= 'f':
-			r |= rune(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			r |= rune(c-'A') + 10
+		case l.Literal("true"):
+			if slot, ok := d.vocab.props[string(name)]; ok {
+				p.Set(slot)
+				set = true
+			}
+		case l.Literal("false"), l.Null():
+			if slot, ok := d.vocab.props[string(name)]; ok && set {
+				p.Clear(slot)
+			}
 		default:
-			return 0, 0, fmt.Errorf("event: bad \\u escape digit %q", c)
+			return l.Errorf("want true, false or null")
 		}
 	}
-	return r, i + 4, nil
 }

@@ -176,26 +176,103 @@ func TestBatchDecoderRandomizedEquivalence(t *testing.T) {
 	}
 }
 
+// TestBatchDecoderEncodingJSONForms covers every form encoding/json
+// reads a tick in beyond the compact one, each body packed by the
+// decoder exactly as by the reference path and as want names it.
+func TestBatchDecoderEncodingJSONForms(t *testing.T) {
+	v := testVocab(t)
+	v.MustDeclare("a\uFFFD", KindEvent)
+	cases := []struct {
+		name, body string
+		events     []string // every tick's events, then props
+		props      []string
+	}{
+		{"duplicate prop true then false", `{"props":{"busy":true,"busy":false}}`, nil, nil},
+		{"duplicate prop false then true", `{"props":{"busy":false,"busy":true}}`, nil, []string{"busy"}},
+		{"prop null", `{"props":{"busy":true,"ready":true,"ready":null}}`, nil, []string{"busy"}},
+		{"props merge", `{"props":{"busy":true},"props":{"ready":true}}`, nil, []string{"busy", "ready"}},
+		{"props then props null", `{"props":{"busy":true},"props":null}`, nil, nil},
+		{"events twice", `{"events":["cmd","resp"],"events":["data"]}`, []string{"data"}, nil},
+		{"events then events null", `{"events":["cmd"],"events":null,"props":{"busy":true}}`, nil, []string{"busy"}},
+		{"events then empty", `{"events":["a"],"events":[]}`, nil, nil},
+		{"null keeps an earlier element", `{"events":["cmd","resp"],"events":[null,"data",null]}`, []string{"cmd", "data"}, nil},
+		{"null after an empty list", `{"events":["cmd","resp"],"events":[],"events":[null,null]}`, nil, nil},
+		{"shorter list keeps a later index", `{"events":["cmd","resp"],"events":["data"],"events":[null,null]}`, []string{"data", "resp"}, nil},
+		{"folded keys", `{"Events":["cmd"],"PROPS":{"busy":true}}`, []string{"cmd"}, []string{"busy"}},
+		{"long s key", `{"event\u017f":["cmd"]}`, []string{"cmd"}, nil},
+		{"long s key raw", "{\"event\u017f\":[\"resp\"]}", []string{"resp"}, nil},
+		{"folded key repeats", `{"events":["cmd"],"EVENTS":["resp"]}`, []string{"resp"}, nil},
+		{"null element", `{"events":[null,"cmd",null]}`, []string{"cmd"}, nil},
+		{"top-level null", `null`, nil, nil},
+		{"unknown field", `{"extra":true}`, nil, nil},
+		{"unknown fields of every type", `{"x":{"y":[1,-2.5e-3,{"z":null}],"w":"}"},"events":["cmd"],"n":false}`, []string{"cmd"}, nil},
+		{"invalid UTF-8", "{\"events\":[\"a\xff\"]}", []string{"a\uFFFD"}, nil},
+	}
+	for _, c := range cases {
+		want := v.Pack(NewState().WithEvents(c.events...).WithProps(c.props...))
+		ref := refDecode(t, v, c.body)
+		var got PackedBatch
+		n, err := NewBatchDecoder(v).Decode([]byte(c.body), &got, 0)
+		if err != nil || n != 1 || len(ref) != 1 {
+			t.Errorf("%s: decoded %d ticks, %v; reference %d", c.name, n, err, len(ref))
+			continue
+		}
+		if !ref[0].Equal(want) {
+			t.Errorf("%s: reference packs %x, want %x", c.name, ref[0], want)
+		}
+		if !got.Tick(0).Equal(want) {
+			t.Errorf("%s: packed %x, want %x", c.name, got.Tick(0), want)
+		}
+	}
+	// Literals need no separator between values of a stream.
+	body := `null{}null` + "\n" + `{"events":["cmd"]}null`
+	ref := refDecode(t, v, body)
+	var got PackedBatch
+	if n, err := NewBatchDecoder(v).Decode([]byte(body), &got, 0); err != nil || n != len(ref) || n != 5 {
+		t.Fatalf("%s: decoded %d ticks, %v; reference %d", body, n, err, len(ref))
+	}
+	for i := range ref {
+		if !got.Tick(i).Equal(ref[i]) {
+			t.Errorf("%s: tick %d packed %x, want %x", body, i, got.Tick(i), ref[i])
+		}
+	}
+}
+
+// TestBatchDecoderErrors lists bodies encoding/json refuses as a stream
+// of StateJSON values; the decoder refuses each too.
 func TestBatchDecoderErrors(t *testing.T) {
 	v := testVocab(t)
 	bad := []string{
-		`{"events":["cmd"]`,            // unterminated object
-		`{"events":"cmd"}`,             // not an array
-		`{"events":[123]}`,             // not a string
-		`{"props":{"busy":1}}`,         // not a bool
-		`{"props":{"busy":truex}}`,     // bad literal
-		`{"extra":true}`,               // unknown field (json would ignore; we fall back)
-		`{"events":["a"],"events":[]}`, // duplicate field
-		`{"events":["\q"]}`,            // bad escape
-		`{"events":["\u00"]}`,          // truncated \u
-		`[{"events":["cmd"]}]`,         // array wrapper, not NDJSON
-		`{"events":["cmd"]} trailing`,  // trailing garbage
+		`{"events":["cmd"]`,           // unterminated object
+		`{"events":"cmd"}`,            // not an array
+		`{"events":[123]}`,            // not a string
+		`{"events":[true]}`,           // not a string
+		`{"props":{"busy":1}}`,        // not a bool
+		`{"props":{"busy":"true"}}`,   // not a bool
+		`{"props":["busy"]}`,          // not an object
+		`{"props":{"busy":truex}}`,    // bad literal
+		`{"events":["\q"]}`,           // bad escape
+		`{"events":["\u00"]}`,         // truncated \u
+		"{\"events\":[\"a\tb\"]}",     // control byte in a string
+		`{"x":[1,]}`,                  // bad unknown value
+		`{"x":01}`,                    // bad number
+		`[{"events":["cmd"]}]`,        // array wrapper, not NDJSON
+		`"tick"`,                      // not an object
+		`{"events":["cmd"]} trailing`, // trailing garbage
+		`nul`,                         // truncated literal
+		`{"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`, // nested past encoding/json's bound
 	}
 	for i, body := range bad {
 		d := NewBatchDecoder(v)
 		var got PackedBatch
 		if _, err := d.Decode([]byte(body), &got, 0); err == nil {
-			t.Errorf("body %d (%s): expected error", i, body)
+			t.Errorf("body %d (%.40s): expected error", i, body)
+		}
+		if json.Valid([]byte(body)) {
+			var tick refTick
+			if json.Unmarshal([]byte(body), &tick) == nil {
+				t.Errorf("body %d (%.40s): encoding/json accepts it", i, body)
+			}
 		}
 	}
 }

@@ -26,6 +26,9 @@ func (p Packed) Bit(i int) bool {
 // Set makes slot i true. Slot i must be within the packed width.
 func (p Packed) Set(i int) { p[i>>6] |= 1 << uint(i&63) }
 
+// Clear makes slot i false. Slot i must be within the packed width.
+func (p Packed) Clear(i int) { p[i>>6] &^= 1 << uint(i&63) }
+
 // Zero resets every slot to false, keeping the allocation.
 func (p Packed) Zero() {
 	for i := range p {

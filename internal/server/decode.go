@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"unicode/utf16"
-	"unicode/utf8"
+
+	"repro/internal/jsonx"
 )
 
 // DecodeVerdicts decodes a GET /sessions/{id}/verdicts body into exactly
@@ -43,14 +43,12 @@ func DecodeDiagnostics(data []byte) (DiagnosticsJSON, error) {
 	return v, err
 }
 
-// bodyDecoder is the state of one decode: the input, the intern table
-// and the slabs.
+// bodyDecoder is the state of one decode: the lexer over the input, the
+// intern table and the slabs.
 type bodyDecoder struct {
-	data []byte
-	pos  int
+	jsonx.Lexer
 
-	names   map[string]string
-	scratch []byte // an escaped string's unquoted bytes
+	names map[string]string
 
 	strs   slab[string]
 	states slab[StateJSON]
@@ -59,7 +57,7 @@ type bodyDecoder struct {
 }
 
 func newBodyDecoder(data []byte) *bodyDecoder {
-	return &bodyDecoder{data: data, names: make(map[string]string, 64)}
+	return &bodyDecoder{Lexer: jsonx.Lexer{Data: data}, names: make(map[string]string, 64)}
 }
 
 // slab hands out contiguous runs of T from shared chunks. A run is built
@@ -94,196 +92,120 @@ var (
 	errNull         = errors.New("null for a value that cannot be null")
 )
 
-// maxSkipDepth bounds the nesting of a skipped unknown value, as
-// encoding/json bounds any value's.
-const maxSkipDepth = 10000
-
-func (d *bodyDecoder) errorf(format string, args ...any) error {
-	return fmt.Errorf("offset %d: "+format, append([]any{d.pos}, args...)...)
-}
-
-func (d *bodyDecoder) ws() {
-	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
-		case ' ', '\t', '\n', '\r':
-			d.pos++
+// object decodes an object whose members are fields: member(f) decodes
+// the value of the key fields[f]. A field given twice and a key that
+// matches a field only case-insensitively are refused, and any other
+// member is skipped. A key is sought from the field after the last one
+// found on, since the appenders write fields in order.
+func (d *bodyDecoder) object(fields []string, member func(f int) error) error {
+	if err := d.Expect('{'); err != nil {
+		return err
+	}
+	var seen uint32
+	next := 0
+	for more := false; ; {
+		key, done, err := d.NextKey(&more)
+		if err != nil || done {
+			return err
+		}
+		f := fieldIndex(fields, key, next)
+		switch {
+		case f < 0:
+			err = d.unknown(key, fields)
+		case seen&(1<<f) != 0:
+			err = errDuplicateKey
 		default:
-			return
+			seen |= 1 << f
+			next = f + 1
+			err = member(f)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
 
-// peek skips whitespace and returns the next byte (0 at the end).
-func (d *bodyDecoder) peek() byte {
-	d.ws()
-	if d.pos < len(d.data) {
-		return d.data[d.pos]
-	}
-	return 0
-}
-
-func (d *bodyDecoder) expect(c byte) error {
-	if d.peek() != c {
-		return d.errorf("want %q", c)
-	}
-	d.pos++
-	return nil
-}
-
-// null consumes a null literal if one is next.
-func (d *bodyDecoder) null() bool {
-	if d.peek() == 'n' && bytes.HasPrefix(d.data[d.pos:], []byte("null")) {
-		d.pos += 4
-		return true
-	}
-	return false
-}
-
-// nextKey walks the members of one object whose brace is consumed:
-// before the first member pass *more = false; each call consumes the
-// separator, the key and its colon and reports the key, or done at the
-// closing brace.
-func (d *bodyDecoder) nextKey(more *bool) (key []byte, done bool, err error) {
-	switch c := d.peek(); {
-	case c == '}':
-		d.pos++
-		return nil, true, nil
-	case *more:
-		if c != ',' {
-			return nil, false, d.errorf("want ',' or '}'")
+// fieldIndex returns the index of key in fields, searching from start
+// on and around, or -1.
+func fieldIndex(fields []string, key []byte, start int) int {
+	for n := range fields {
+		if f := (start + n) % len(fields); string(key) == fields[f] {
+			return f
 		}
-		d.pos++
 	}
-	*more = true
-	if d.peek() != '"' {
-		return nil, false, d.errorf("want a key")
-	}
-	if key, err = d.rawString(); err != nil {
-		return nil, false, err
-	}
-	return key, false, d.expect(':')
-}
-
-// markField marks member bit of an object seen, refusing it twice.
-func markField(seen *uint32, bit uint) error {
-	if *seen&(1<<bit) != 0 {
-		return errDuplicateKey
-	}
-	*seen |= 1 << bit
-	return nil
+	return -1
 }
 
 // unknown skips the value of a key no field matches exactly, refusing
-// one encoding/json would fold onto a field.
-func (d *bodyDecoder) unknown(key []byte, fields ...string) error {
+// one encoding/json would fold onto a field. The skip bound counts from
+// the value, not from the top of the body.
+func (d *bodyDecoder) unknown(key []byte, fields []string) error {
 	for _, f := range fields {
 		if bytes.EqualFold(key, []byte(f)) {
 			return fmt.Errorf("%w: %q", errFoldedKey, key)
 		}
 	}
-	return d.skip(0)
+	return d.Skip(0)
 }
+
+// The fields of each object, in the order the appenders write them.
+var (
+	bodyFields        = []string{"session", "mode", "monitors"}
+	monitorDiagFields = []string{"spec", "violations", "diagnostics"}
+	monitorFields     = []string{"spec", "steps", "accepts", "violations", "fallbacks",
+		"last_accept_tick", "accept_ticks", "coverage", "diagnostics", "quarantined", "quarantine_reason"}
+	coverageFields   = []string{"state", "transition", "hard_resets", "uncovered"}
+	diagnosticFields = []string{"tick", "monitor", "grid_line", "from_state", "guard",
+		"guards", "valuation", "input", "recent", "scoreboard"}
+	stateFields = []string{"events", "props"}
+)
 
 // body decodes the envelope both bodies share, with monitors decoding
 // the monitors value.
 func (d *bodyDecoder) body(session, mode *string, monitors func() error) error {
-	if err := d.expect('{'); err != nil {
-		return err
+	err := d.object(bodyFields, func(f int) error {
+		switch f {
+		case 0:
+			return d.str(session)
+		case 1:
+			return d.str(mode)
+		}
+		return monitors()
+	})
+	if err == nil && d.Peek() != 0 {
+		err = d.Errorf("data after the body")
 	}
-	var seen uint32
-	more := false
-	for {
-		key, done, err := d.nextKey(&more)
-		if err != nil {
-			return err
-		}
-		if done {
-			break
-		}
-		switch string(key) {
-		case "session":
-			err = d.fieldString(&seen, 0, session)
-		case "mode":
-			err = d.fieldString(&seen, 1, mode)
-		case "monitors":
-			if err = markField(&seen, 2); err == nil {
-				err = monitors()
-			}
-		default:
-			err = d.unknown(key, "session", "mode", "monitors")
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if d.peek() != 0 {
-		return d.errorf("data after the body")
-	}
-	return nil
+	return err
 }
 
 func (d *bodyDecoder) monitorDiagnostics(m *MonitorDiagnosticsJSON) error {
-	if err := d.expect('{'); err != nil {
+	return d.object(monitorDiagFields, func(f int) (err error) {
+		switch f {
+		case 0:
+			err = d.str(&m.Spec)
+		case 1:
+			err = d.intInto(&m.Violations)
+		case 2:
+			m.Diagnostics, err = list(d, &d.diags, (*bodyDecoder).diagnostic)
+		}
 		return err
-	}
-	var seen uint32
-	for more := false; ; {
-		key, done, err := d.nextKey(&more)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		switch string(key) {
-		case "spec":
-			err = d.fieldString(&seen, 0, &m.Spec)
-		case "violations":
-			err = d.fieldInt(&seen, 1, &m.Violations)
-		case "diagnostics":
-			if err = markField(&seen, 2); err == nil {
-				m.Diagnostics, err = list(d, &d.diags, (*bodyDecoder).diagnostic)
-			}
-		default:
-			err = d.unknown(key, "spec", "violations", "diagnostics")
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// nextElem consumes the separator before an array element, or the
-// closing bracket.
-func (d *bodyDecoder) nextElem(more bool) (done bool, err error) {
-	c := d.peek()
-	if c == ']' {
-		d.pos++
-		return true, nil
-	}
-	if more {
-		if c != ',' {
-			return false, d.errorf("want ',' or ']'")
-		}
-		d.pos++
-	}
-	return false, nil
+	})
 }
 
 // list decodes an array, or null as nil, into a run of s, decoding each
 // element in place with elem. No element decoder appends to the slab
 // of its own type, so the element's address holds while it decodes.
 func list[T any](d *bodyDecoder, s *slab[T], elem func(*bodyDecoder, *T) error) ([]T, error) {
-	if d.null() {
+	if d.Null() {
 		return nil, nil
 	}
-	if err := d.expect('['); err != nil {
+	if err := d.Expect('['); err != nil {
 		return nil, err
 	}
 	start := len(s.buf)
 	var zero T
 	for more := false; ; more = true {
-		if done, err := d.nextElem(more); err != nil {
+		if done, err := d.NextElem(more); err != nil {
 			return nil, err
 		} else if done {
 			return s.run(start), nil
@@ -296,196 +218,102 @@ func list[T any](d *bodyDecoder, s *slab[T], elem func(*bodyDecoder, *T) error) 
 }
 
 func (d *bodyDecoder) monitorVerdict(m *MonitorVerdictJSON) error {
-	if err := d.expect('{'); err != nil {
+	return d.object(monitorFields, func(f int) (err error) {
+		switch f {
+		case 0:
+			err = d.str(&m.Spec)
+		case 1:
+			err = d.intInto(&m.Steps)
+		case 2:
+			err = d.intInto(&m.Accepts)
+		case 3:
+			err = d.intInto(&m.Violations)
+		case 4:
+			err = d.intInto(&m.Fallbacks)
+		case 5:
+			err = d.intInto(&m.LastAcceptTick)
+		case 6:
+			m.AcceptTicks, err = list(d, &d.ints, (*bodyDecoder).intInto)
+		case 7:
+			err = d.coverage(&m.Coverage)
+		case 8:
+			m.Diagnostics, err = list(d, &d.diags, (*bodyDecoder).diagnostic)
+		case 9:
+			m.Quarantined, err = d.boolean()
+		case 10:
+			err = d.str(&m.QuarantineReason)
+		}
 		return err
-	}
-	var seen uint32
-	for more := false; ; {
-		key, done, err := d.nextKey(&more)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		switch string(key) {
-		case "spec":
-			err = d.fieldString(&seen, 0, &m.Spec)
-		case "steps":
-			err = d.fieldInt(&seen, 1, &m.Steps)
-		case "accepts":
-			err = d.fieldInt(&seen, 2, &m.Accepts)
-		case "violations":
-			err = d.fieldInt(&seen, 3, &m.Violations)
-		case "fallbacks":
-			err = d.fieldInt(&seen, 4, &m.Fallbacks)
-		case "last_accept_tick":
-			err = d.fieldInt(&seen, 5, &m.LastAcceptTick)
-		case "accept_ticks":
-			if err = markField(&seen, 6); err == nil {
-				m.AcceptTicks, err = list(d, &d.ints, (*bodyDecoder).intInto)
-			}
-		case "coverage":
-			if err = markField(&seen, 7); err == nil {
-				err = d.coverage(&m.Coverage)
-			}
-		case "diagnostics":
-			if err = markField(&seen, 8); err == nil {
-				m.Diagnostics, err = list(d, &d.diags, (*bodyDecoder).diagnostic)
-			}
-		case "quarantined":
-			if err = markField(&seen, 9); err == nil {
-				m.Quarantined, err = d.boolean()
-			}
-		case "quarantine_reason":
-			err = d.fieldString(&seen, 10, &m.QuarantineReason)
-		default:
-			err = d.unknown(key, "spec", "steps", "accepts", "violations", "fallbacks",
-				"last_accept_tick", "accept_ticks", "coverage", "diagnostics",
-				"quarantined", "quarantine_reason")
-		}
-		if err != nil {
-			return err
-		}
-	}
+	})
 }
 
 func (d *bodyDecoder) coverage(c *CoverageJSON) error {
-	if err := d.expect('{'); err != nil {
+	return d.object(coverageFields, func(f int) (err error) {
+		switch f {
+		case 0:
+			c.State, err = d.float()
+		case 1:
+			c.Transition, err = d.float()
+		case 2:
+			c.HardResets, err = d.uint()
+		case 3:
+			c.Uncovered, err = list(d, &d.strs, (*bodyDecoder).str)
+		}
 		return err
-	}
-	var seen uint32
-	for more := false; ; {
-		key, done, err := d.nextKey(&more)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		switch string(key) {
-		case "state":
-			if err = markField(&seen, 0); err == nil {
-				c.State, err = d.float()
-			}
-		case "transition":
-			if err = markField(&seen, 1); err == nil {
-				c.Transition, err = d.float()
-			}
-		case "hard_resets":
-			if err = markField(&seen, 2); err == nil {
-				c.HardResets, err = d.uint()
-			}
-		case "uncovered":
-			if err = markField(&seen, 3); err == nil {
-				c.Uncovered, err = list(d, &d.strs, (*bodyDecoder).str)
-			}
-		default:
-			err = d.unknown(key, "state", "transition", "hard_resets", "uncovered")
-		}
-		if err != nil {
-			return err
-		}
-	}
+	})
 }
 
 func (d *bodyDecoder) diagnostic(dj *DiagnosticJSON) error {
-	if err := d.expect('{'); err != nil {
+	return d.object(diagnosticFields, func(f int) (err error) {
+		switch f {
+		case 0:
+			err = d.intInto(&dj.Tick)
+		case 1:
+			err = d.str(&dj.Monitor)
+		case 2:
+			err = d.intInto(&dj.GridLine)
+		case 3:
+			err = d.intInto(&dj.FromState)
+		case 4:
+			err = d.str(&dj.Guard)
+		case 5:
+			dj.Guards, err = list(d, &d.strs, (*bodyDecoder).str)
+		case 6:
+			dj.Valuation, err = d.uint()
+		case 7:
+			err = d.state(&dj.Input)
+		case 8:
+			dj.Recent, err = list(d, &d.states, (*bodyDecoder).state)
+		case 9:
+			dj.Scoreboard, err = list(d, &d.strs, (*bodyDecoder).str)
+		}
 		return err
-	}
-	var seen uint32
-	for more := false; ; {
-		key, done, err := d.nextKey(&more)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		switch string(key) {
-		case "tick":
-			err = d.fieldInt(&seen, 0, &dj.Tick)
-		case "monitor":
-			err = d.fieldString(&seen, 1, &dj.Monitor)
-		case "grid_line":
-			err = d.fieldInt(&seen, 2, &dj.GridLine)
-		case "from_state":
-			err = d.fieldInt(&seen, 3, &dj.FromState)
-		case "guard":
-			err = d.fieldString(&seen, 4, &dj.Guard)
-		case "guards":
-			if err = markField(&seen, 5); err == nil {
-				dj.Guards, err = list(d, &d.strs, (*bodyDecoder).str)
-			}
-		case "valuation":
-			if err = markField(&seen, 6); err == nil {
-				dj.Valuation, err = d.uint()
-			}
-		case "input":
-			if err = markField(&seen, 7); err == nil {
-				err = d.state(&dj.Input)
-			}
-		case "recent":
-			if err = markField(&seen, 8); err == nil {
-				dj.Recent, err = list(d, &d.states, (*bodyDecoder).state)
-			}
-		case "scoreboard":
-			if err = markField(&seen, 9); err == nil {
-				dj.Scoreboard, err = list(d, &d.strs, (*bodyDecoder).str)
-			}
-		default:
-			err = d.unknown(key, "tick", "monitor", "grid_line", "from_state", "guard",
-				"guards", "valuation", "input", "recent", "scoreboard")
-		}
-		if err != nil {
-			return err
-		}
-	}
+	})
 }
 
 func (d *bodyDecoder) state(st *StateJSON) error {
-	if err := d.expect('{'); err != nil {
+	return d.object(stateFields, func(f int) (err error) {
+		if f == 0 {
+			st.Events, err = list(d, &d.strs, (*bodyDecoder).str)
+		} else {
+			st.Props, err = d.props()
+		}
 		return err
-	}
-	var seen uint32
-	for more := false; ; {
-		key, done, err := d.nextKey(&more)
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-		switch string(key) {
-		case "events":
-			if err = markField(&seen, 0); err == nil {
-				st.Events, err = list(d, &d.strs, (*bodyDecoder).str)
-			}
-		case "props":
-			if err = markField(&seen, 1); err == nil {
-				st.Props, err = d.props()
-			}
-		default:
-			err = d.unknown(key, "events", "props")
-		}
-		if err != nil {
-			return err
-		}
-	}
+	})
 }
 
 // props decodes a props map. A repeated key is assigned again, last
 // value winning, exactly as encoding/json fills a map.
 func (d *bodyDecoder) props() (map[string]bool, error) {
-	if d.null() {
+	if d.Null() {
 		return nil, nil
 	}
-	if err := d.expect('{'); err != nil {
+	if err := d.Expect('{'); err != nil {
 		return nil, err
 	}
 	m := map[string]bool{}
 	for more := false; ; {
-		key, done, err := d.nextKey(&more)
+		key, done, err := d.NextKey(&more)
 		if err != nil {
 			return nil, err
 		}
@@ -499,79 +327,20 @@ func (d *bodyDecoder) props() (map[string]bool, error) {
 	}
 }
 
-func (d *bodyDecoder) fieldString(seen *uint32, bit uint, dst *string) error {
-	if err := markField(seen, bit); err != nil {
-		return err
-	}
-	return d.str(dst)
-}
-
-func (d *bodyDecoder) fieldInt(seen *uint32, bit uint, dst *int) error {
-	if err := markField(seen, bit); err != nil {
-		return err
-	}
-	return d.intInto(dst)
-}
-
+// boolean, number and str decode a value that cannot be null, refusing
+// null with errNull.
 func (d *bodyDecoder) boolean() (bool, error) {
-	switch d.peek() {
-	case 't':
-		if bytes.HasPrefix(d.data[d.pos:], []byte("true")) {
-			d.pos += 4
-			return true, nil
-		}
-	case 'f':
-		if bytes.HasPrefix(d.data[d.pos:], []byte("false")) {
-			d.pos += 5
-			return false, nil
-		}
-	case 'n':
-		if d.null() {
-			return false, errNull
-		}
+	if d.Null() {
+		return false, errNull
 	}
-	return false, d.errorf("want a boolean")
+	return d.Bool()
 }
 
-// number consumes one JSON number literal and returns its bytes.
 func (d *bodyDecoder) number() ([]byte, error) {
-	if d.peek() == 'n' && d.null() {
+	if d.Null() {
 		return nil, errNull
 	}
-	start, i, b := d.pos, d.pos, d.data
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && b[i] >= '1' && b[i] <= '9':
-		for i++; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
-		}
-	default:
-		return nil, d.errorf("want a number")
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if i >= len(b) || b[i] < '0' || b[i] > '9' {
-			return nil, d.errorf("bad number")
-		}
-		for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if i >= len(b) || b[i] < '0' || b[i] > '9' {
-			return nil, d.errorf("bad number")
-		}
-		for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
-		}
-	}
-	d.pos = i
-	return b[start:i], nil
+	return d.Number()
 }
 
 // intInto, uint and float decode a number as encoding/json does:
@@ -614,15 +383,11 @@ func (d *bodyDecoder) float() (float64, error) {
 	return f, nil
 }
 
-// str decodes a string value into dst, interned.
 func (d *bodyDecoder) str(dst *string) error {
-	if d.peek() != '"' {
-		if d.null() {
-			return errNull
-		}
-		return d.errorf("want a string")
+	if d.Null() {
+		return errNull
 	}
-	raw, err := d.rawString()
+	raw, err := d.Str()
 	if err != nil {
 		return err
 	}
@@ -638,159 +403,4 @@ func (d *bodyDecoder) intern(raw []byte) string {
 		d.names[s] = s
 	}
 	return s
-}
-
-// rawString consumes a string literal at d.pos and returns its unquoted
-// bytes: a slice of the input when it holds no escape and only valid
-// UTF-8, else d.scratch, valid until the next call. encoding/json's
-// rules apply: a control byte is an error; each byte of invalid UTF-8
-// and each unpaired surrogate escape becomes U+FFFD.
-func (d *bodyDecoder) rawString() ([]byte, error) {
-	b := d.data
-	start := d.pos + 1
-	i := start
-	for ; i < len(b); i++ {
-		c := b[i]
-		if c == '"' {
-			d.pos = i + 1
-			return b[start:i], nil
-		}
-		if c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
-			break
-		}
-	}
-	out := append(d.scratch[:0], b[start:i]...)
-	for {
-		if i >= len(b) {
-			d.pos = i
-			return nil, d.errorf("unterminated string")
-		}
-		c := b[i]
-		switch {
-		case c == '"':
-			d.pos = i + 1
-			d.scratch = out
-			return out, nil
-		case c < 0x20:
-			d.pos = i
-			return nil, d.errorf("control byte in string")
-		case c == '\\':
-			if i+1 >= len(b) {
-				d.pos = i
-				return nil, d.errorf("unterminated string")
-			}
-			switch e := b[i+1]; e {
-			case '"', '\\', '/':
-				out = append(out, e)
-			case 'b':
-				out = append(out, '\b')
-			case 'f':
-				out = append(out, '\f')
-			case 'n':
-				out = append(out, '\n')
-			case 'r':
-				out = append(out, '\r')
-			case 't':
-				out = append(out, '\t')
-			case 'u':
-				r := hex4(b[i+2:])
-				if r < 0 {
-					d.pos = i
-					return nil, d.errorf("bad \\u escape")
-				}
-				i += 6
-				if utf16.IsSurrogate(r) {
-					r2 := rune(-1)
-					if i+1 < len(b) && b[i] == '\\' && b[i+1] == 'u' {
-						r2 = hex4(b[i+2:])
-					}
-					if dec := utf16.DecodeRune(r, r2); dec != utf8.RuneError {
-						out = utf8.AppendRune(out, dec)
-						i += 6
-						continue
-					}
-					r = utf8.RuneError
-				}
-				out = utf8.AppendRune(out, r)
-				continue
-			default:
-				d.pos = i
-				return nil, d.errorf("bad escape")
-			}
-			i += 2
-		case c < utf8.RuneSelf:
-			out = append(out, c)
-			i++
-		default:
-			r, size := utf8.DecodeRune(b[i:])
-			out = utf8.AppendRune(out, r)
-			i += size
-		}
-	}
-}
-
-// hex4 parses the four hex digits after a \u, or returns -1.
-func hex4(b []byte) rune {
-	if len(b) < 4 {
-		return -1
-	}
-	var r rune
-	for _, c := range b[:4] {
-		switch {
-		case c >= '0' && c <= '9':
-			c -= '0'
-		case c >= 'a' && c <= 'f':
-			c -= 'a' - 10
-		case c >= 'A' && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return -1
-		}
-		r = r<<4 | rune(c)
-	}
-	return r
-}
-
-// skip consumes one JSON value of any type, checking its syntax.
-func (d *bodyDecoder) skip(depth int) error {
-	if depth > maxSkipDepth {
-		return d.errorf("value nested too deep")
-	}
-	switch c := d.peek(); c {
-	case '"':
-		_, err := d.rawString()
-		return err
-	case '{':
-		d.pos++
-		for more := false; ; {
-			_, done, err := d.nextKey(&more)
-			if err != nil || done {
-				return err
-			}
-			if err := d.skip(depth + 1); err != nil {
-				return err
-			}
-		}
-	case '[':
-		d.pos++
-		for more := false; ; more = true {
-			if done, err := d.nextElem(more); err != nil || done {
-				return err
-			}
-			if err := d.skip(depth + 1); err != nil {
-				return err
-			}
-		}
-	case 't', 'f':
-		_, err := d.boolean()
-		return err
-	case 'n':
-		if d.null() {
-			return nil
-		}
-		return d.errorf("bad literal")
-	default:
-		_, err := d.number()
-		return err
-	}
 }

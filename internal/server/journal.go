@@ -349,7 +349,7 @@ func (rs *sessionRestorer) apply(rec wal.Record) error {
 		}
 		// The bytes passed the ingest decoder once, so an error here is
 		// corruption the CRC framing missed, reported rather than skipped.
-		pb, _, err := decodeBatch(rs.sess.vocab, raw, 0)
+		pb, err := decodeBatch(rs.sess.vocab, raw, 0)
 		if err != nil {
 			return fmt.Errorf("raw batch record %d: %w", jseq, err)
 		}

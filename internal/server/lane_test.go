@@ -58,10 +58,8 @@ func newLaneServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// prettyNDJSON renders the trace as indented, multi-line JSON values.
-// The lenient stream decoder accepts this; the strict byte-level batch
-// decoder does not, so a body in this shape is guaranteed to take the
-// lenient encoding/json decoder.
+// prettyNDJSON renders the trace as indented, multi-line JSON values,
+// as json.MarshalIndent writes them: whitespace inside every tick.
 func prettyNDJSON(t *testing.T, tr trace.Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -76,11 +74,11 @@ func prettyNDJSON(t *testing.T, tr trace.Trace) []byte {
 	return buf.Bytes()
 }
 
-// TestBatchFastPathParity streams the same trace through the zero-copy
-// batch decoder (compact NDJSON) and the lenient encoding/json decoder
-// (indented JSON, which the strict decoder rejects) into two sessions of the same
-// server: verdicts, coverage, and accept ticks must be byte-identical,
-// and both must match the in-process reference engine.
+// TestBatchFastPathParity streams the same trace as compact NDJSON and
+// as indented JSON into two sessions of the same server: the one batch
+// decoder must skip the whitespace without changing a tick, so verdicts,
+// coverage, and accept ticks must be byte-identical, and both must match
+// the in-process reference engine.
 func TestBatchFastPathParity(t *testing.T) {
 	_, ts := newTestServer(t, Config{Shards: 2, QueueDepth: 16})
 	tr := ocp.NewModel(ocp.Config{Gap: 2, Seed: 7, FaultRate: 0.15}).GenerateTrace(300)
@@ -419,7 +417,7 @@ cesc BusyEvent {
 // Each monitor of the shared session must report the verdicts and
 // diagnostics of its single-spec twin — quoted inputs compared on the
 // twin's own symbols, since the shared vocabulary quotes both busys —
-// live over strict and lenient bodies, and again after crash recovery.
+// live over compact and indented bodies, and again after crash recovery.
 func TestKindClashSessionParity(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Shards: 1, QueueDepth: 16, SnapshotEvery: 3, WALDir: dir}

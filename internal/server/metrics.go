@@ -18,7 +18,6 @@ type metrics struct {
 	ticksTotal      atomic.Uint64 // valuation ticks processed
 	batchesTotal    atomic.Uint64 // tick batches processed
 	laneGroupTicks  atomic.Uint64 // ticks stepped via the shared transition table
-	lenientDecodes  atomic.Uint64 // batches the strict decoder refused and encoding/json accepted
 	rejectedTotal   atomic.Uint64 // 429 responses (shard queue full)
 	acceptsTotal    atomic.Uint64 // monitor acceptances across sessions
 	violationsTotal atomic.Uint64 // monitor violations across sessions
@@ -131,7 +130,6 @@ type MetricsSnapshot struct {
 	TicksPerSec     float64 `json:"ticks_per_sec"`
 	BatchesTotal    uint64  `json:"batches_total"`
 	LaneGroupTicks  uint64  `json:"lane_group_ticks"`
-	LenientDecodes  uint64  `json:"lenient_decodes"` // cescd_fastpath_fallback_total{reason="lenient_decode"}
 	RejectedTotal   uint64  `json:"rejected_total"`
 	AcceptsTotal    uint64  `json:"accepts_total"`
 	ViolationsTotal uint64  `json:"violations_total"`
@@ -218,7 +216,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		TicksPerSec:     rate,
 		BatchesTotal:    m.batchesTotal.Load(),
 		LaneGroupTicks:  m.laneGroupTicks.Load(),
-		LenientDecodes:  m.lenientDecodes.Load(),
 		RejectedTotal:   m.rejectedTotal.Load(),
 		AcceptsTotal:    m.acceptsTotal.Load(),
 		ViolationsTotal: m.violationsTotal.Load(),

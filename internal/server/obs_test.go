@@ -88,45 +88,34 @@ func TestPromExposition(t *testing.T) {
 	}
 }
 
-// TestFastPathFallbackCounter checks
-// cescd_fastpath_fallback_total{reason="lenient_decode"}: it stays 0 on
-// strict bodies and on a body both decoders refuse, counts a body with
-// an unknown tick field (which only encoding/json accepts), and the
-// exposition stays valid throughout.
-func TestFastPathFallbackCounter(t *testing.T) {
-	s, ts := newTestServer(t, Config{Shards: 1})
-	sess := createSession(t, ts.URL, "detect", "OcpSimpleRead")
-	scrape := func(want int) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
+// TestUnknownFieldVerdictParity streams one trace into two sessions,
+// once as compact NDJSON and once with an unknown field of every JSON
+// type in each tick, which encoding/json skips and so must the one tick
+// decoder: the two sessions' verdicts must be byte-identical.
+func TestUnknownFieldVerdictParity(t *testing.T) {
+	_, ts := newTestServer(t, Config{Shards: 1})
+	tr := ocp.NewModel(ocp.Config{Gap: 2, Seed: 4, FaultRate: 0.1}).GenerateTrace(120)
+	plain := createSession(t, ts.URL, "detect", "OcpSimpleRead")
+	noted := createSession(t, ts.URL, "detect", "OcpSimpleRead")
+	for at := 0; at < len(tr); at += 40 {
+		body := ndjson(t, tr[at:at+40])
+		doJSON(t, "POST", ts.URL+"/sessions/"+plain.ID+"/ticks?wait=1", body, http.StatusOK, nil)
+		var withNote []byte
+		for _, line := range bytes.SplitAfter(body, []byte("\n")) {
+			if len(line) > 0 {
+				withNote = append(withNote, `{"note":{"n":[1.5e3,true,null,"}"],"o":{}},"Note":0,`...)
+				withNote = append(withNote, line[1:]...)
+			}
 		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		text := string(body)
-		if _, err := obs.ValidatePromText(text); err != nil {
-			t.Fatalf("exposition invalid: %v\n%s", err, text)
-		}
-		sample := fmt.Sprintf("cescd_fastpath_fallback_total{reason=\"lenient_decode\"} %d\n", want)
-		if !strings.Contains(text, sample) {
-			t.Errorf("exposition lacks %q", sample)
-		}
-		if got := s.Metrics().LenientDecodes; got != uint64(want) {
-			t.Errorf("lenient_decodes = %d, want %d", got, want)
-		}
+		withNote = bytes.ReplaceAll(withNote, []byte(",}"), []byte("}"))
+		doJSON(t, "POST", ts.URL+"/sessions/"+noted.ID+"/ticks?wait=1", withNote, http.StatusOK, nil)
 	}
-	streamTicks(t, ts.URL, sess.ID, ocp.NewModel(ocp.Config{Gap: 2, Seed: 4}).GenerateTrace(64), 32)
-	doJSON(t, "POST", ts.URL+"/sessions/"+sess.ID+"/ticks", []byte(`{"events":[`), http.StatusBadRequest, nil)
-	scrape(0)
-	unknown := []byte(`{"events":["MCmd_rd","Addr","SCmd_accept"],"note":"first"}` + "\n" + `{"events":["SResp","SData"]}` + "\n")
-	doJSON(t, "POST", ts.URL+"/sessions/"+sess.ID+"/ticks?wait=1", unknown, http.StatusOK, nil)
-	scrape(1)
-	if v := verdictFor(t, ts.URL, sess.ID, "OcpSimpleRead"); v.Steps != 66 {
-		t.Errorf("steps = %d, want 66", v.Steps)
+	got, want := monitorsJSON(t, ts.URL, noted.ID), monitorsJSON(t, ts.URL, plain.ID)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("unknown field changed the verdicts:\n with %s\n without %s", got, want)
+	}
+	if v := verdictFor(t, ts.URL, noted.ID, "OcpSimpleRead"); v.Steps != len(tr) {
+		t.Errorf("steps = %d, want %d", v.Steps, len(tr))
 	}
 }
 

@@ -32,8 +32,6 @@ func (s *Server) promText() []byte {
 	counter("cescd_ticks_total", "Valuation ticks processed.", float64(snap.TicksTotal))
 	counter("cescd_batches_total", "Tick batches processed.", float64(snap.BatchesTotal))
 	counter("cescd_lane_group_ticks_total", "Ticks stepped via the shared transition table.", float64(snap.LaneGroupTicks))
-	w.Family("cescd_fastpath_fallback_total", "counter", "Batches that fell off the strict zero-copy decoder, by reason.")
-	w.Sample("cescd_fastpath_fallback_total", []obs.L{{Name: "reason", Value: "lenient_decode"}}, float64(snap.LenientDecodes))
 	counter("cescd_rejected_total", "Ingest requests rejected with 429.", float64(snap.RejectedTotal))
 	counter("cescd_accepts_total", "Monitor acceptances across sessions.", float64(snap.AcceptsTotal))
 	counter("cescd_violations_total", "Monitor violations across sessions.", float64(snap.ViolationsTotal))

@@ -3,11 +3,11 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
-	"unicode/utf8"
+
+	"repro/internal/jsonx"
 )
 
 // Every cescd body is compact JSON sent with a Content-Length in one
@@ -112,7 +112,7 @@ func appendAck(dst []byte, a ackJSON) []byte {
 	}
 	if a.Trace != "" {
 		dst = append(dst, `,"trace":`...)
-		dst = appendJSONString(dst, a.Trace)
+		dst = jsonx.AppendString(dst, a.Trace)
 	}
 	return append(dst, '}', '\n')
 }
@@ -148,7 +148,7 @@ func AppendDiagnostics(dst []byte, d DiagnosticsJSON) []byte {
 			}
 			m := &d.Monitors[i]
 			dst = append(dst, `{"spec":`...)
-			dst = appendJSONString(dst, m.Spec)
+			dst = jsonx.AppendString(dst, m.Spec)
 			dst = append(dst, `,"violations":`...)
 			dst = strconv.AppendInt(dst, int64(m.Violations), 10)
 			dst = appendDiagnosticList(dst, m.Diagnostics)
@@ -163,15 +163,15 @@ func AppendDiagnostics(dst []byte, d DiagnosticsJSON) []byte {
 // monitors value.
 func appendSessionHead(dst []byte, session, mode string) []byte {
 	dst = append(dst, `{"session":`...)
-	dst = appendJSONString(dst, session)
+	dst = jsonx.AppendString(dst, session)
 	dst = append(dst, `,"mode":`...)
-	dst = appendJSONString(dst, mode)
+	dst = jsonx.AppendString(dst, mode)
 	return append(dst, `,"monitors":`...)
 }
 
 func appendMonitorVerdict(dst []byte, m *MonitorVerdictJSON) []byte {
 	dst = append(dst, `{"spec":`...)
-	dst = appendJSONString(dst, m.Spec)
+	dst = jsonx.AppendString(dst, m.Spec)
 	dst = append(dst, `,"steps":`...)
 	dst = strconv.AppendInt(dst, int64(m.Steps), 10)
 	dst = append(dst, `,"accepts":`...)
@@ -194,14 +194,14 @@ func appendMonitorVerdict(dst []byte, m *MonitorVerdictJSON) []byte {
 	}
 	c := &m.Coverage
 	dst = append(dst, `,"coverage":{"state":`...)
-	dst = appendFloat(dst, c.State)
+	dst = jsonx.AppendFloat(dst, c.State)
 	dst = append(dst, `,"transition":`...)
-	dst = appendFloat(dst, c.Transition)
+	dst = jsonx.AppendFloat(dst, c.Transition)
 	dst = append(dst, `,"hard_resets":`...)
 	dst = strconv.AppendUint(dst, c.HardResets, 10)
 	if len(c.Uncovered) > 0 {
 		dst = append(dst, `,"uncovered":`...)
-		dst = appendStrings(dst, c.Uncovered)
+		dst = jsonx.AppendStrings(dst, c.Uncovered)
 	}
 	dst = append(dst, '}')
 	dst = appendDiagnosticList(dst, m.Diagnostics)
@@ -210,7 +210,7 @@ func appendMonitorVerdict(dst []byte, m *MonitorVerdictJSON) []byte {
 	}
 	if m.QuarantineReason != "" {
 		dst = append(dst, `,"quarantine_reason":`...)
-		dst = appendJSONString(dst, m.QuarantineReason)
+		dst = jsonx.AppendString(dst, m.QuarantineReason)
 	}
 	return append(dst, '}')
 }
@@ -235,7 +235,7 @@ func appendDiagnostic(dst []byte, d *DiagnosticJSON) []byte {
 	dst = strconv.AppendInt(dst, int64(d.Tick), 10)
 	if d.Monitor != "" {
 		dst = append(dst, `,"monitor":`...)
-		dst = appendJSONString(dst, d.Monitor)
+		dst = jsonx.AppendString(dst, d.Monitor)
 	}
 	dst = append(dst, `,"grid_line":`...)
 	dst = strconv.AppendInt(dst, int64(d.GridLine), 10)
@@ -243,11 +243,11 @@ func appendDiagnostic(dst []byte, d *DiagnosticJSON) []byte {
 	dst = strconv.AppendInt(dst, int64(d.FromState), 10)
 	if d.Guard != "" {
 		dst = append(dst, `,"guard":`...)
-		dst = appendJSONString(dst, d.Guard)
+		dst = jsonx.AppendString(dst, d.Guard)
 	}
 	if len(d.Guards) > 0 {
 		dst = append(dst, `,"guards":`...)
-		dst = appendStrings(dst, d.Guards)
+		dst = jsonx.AppendStrings(dst, d.Guards)
 	}
 	dst = append(dst, `,"valuation":`...)
 	dst = strconv.AppendUint(dst, d.Valuation, 10)
@@ -265,98 +265,7 @@ func appendDiagnostic(dst []byte, d *DiagnosticJSON) []byte {
 	}
 	if len(d.Scoreboard) > 0 {
 		dst = append(dst, `,"scoreboard":`...)
-		dst = appendStrings(dst, d.Scoreboard)
+		dst = jsonx.AppendStrings(dst, d.Scoreboard)
 	}
 	return append(dst, '}')
-}
-
-// appendStrings appends a non-nil string slice as a JSON array.
-func appendStrings(dst []byte, ss []string) []byte {
-	dst = append(dst, '[')
-	for i, s := range ss {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendJSONString(dst, s)
-	}
-	return append(dst, ']')
-}
-
-// appendFloat appends f in encoding/json's form: the shortest 'f'
-// rendering, or 'e' below 1e-6 and from 1e21 on with a one-digit
-// negative exponent unpadded. json.Marshal refuses NaN and ±Inf; no
-// coverage ratio is one (a monitor has at least one state), and one
-// that were would be written as null.
-func appendFloat(dst []byte, f float64) []byte {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return append(dst, "null"...)
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as json.Marshal quotes it: HTML-safe, so
-// <, > and & become \u003c, \u003e and \u0026; control bytes take their
-// short escape or \u00XX; U+2028 and U+2029 are escaped; each byte of
-// invalid UTF-8 becomes \ufffd. Runs of plain bytes are copied whole.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				dst = append(dst, '\\', c)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
 }

@@ -837,42 +837,22 @@ func errBatchTooLarge(maxTicks int) *decodeError {
 		fmt.Sprintf("batch exceeds %d ticks; split the stream", maxTicks)}
 }
 
-// decodeBatch packs an NDJSON tick body over vocab — the one decoder of
-// ingest and journal replay. The strict zero-copy BatchDecoder packs the
-// bytes straight into packed words and answers 413 itself for a batch
-// past maxTicks (0 means no limit). A body it refuses otherwise (unknown
-// field, indented JSON) goes through encoding/json, tick by tick, which
-// reproduces the endpoint's error responses (400 for a bad tick or an
-// empty body, 413 past maxTicks). lenient reports that the second
-// decoder accepted the body. Both pack identically, so which one ran
-// never changes a verdict.
-func decodeBatch(vocab *event.Vocabulary, body []byte, maxTicks int) (pb *event.PackedBatch, lenient bool, err error) {
-	pb = new(event.PackedBatch)
+// decodeBatch packs an NDJSON tick body over vocab with
+// event.BatchDecoder, the one decoder of ingest and journal replay: 400
+// for a body it refuses or one with no ticks, 413 past maxTicks ticks
+// (0 means no limit).
+func decodeBatch(vocab *event.Vocabulary, body []byte, maxTicks int) (*event.PackedBatch, error) {
+	pb := new(event.PackedBatch)
 	n, err := event.NewBatchDecoder(vocab).Decode(body, pb, maxTicks)
 	switch {
-	case err == nil && n > 0:
-		return pb, false, nil
 	case event.IsTooManyTicks(err):
-		return nil, false, errBatchTooLarge(maxTicks)
+		return nil, errBatchTooLarge(maxTicks)
+	case err != nil:
+		return nil, &decodeError{http.StatusBadRequest, err.Error()}
+	case n == 0:
+		return nil, &decodeError{http.StatusBadRequest, "no ticks in body"}
 	}
-	pb.Reset(vocab.Len())
-	dec := json.NewDecoder(bytes.NewReader(body))
-	for {
-		var t StateJSON
-		if err := dec.Decode(&t); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, false, &decodeError{http.StatusBadRequest, fmt.Sprintf("tick %d: %v", pb.Len(), err)}
-		}
-		if maxTicks > 0 && pb.Len() >= maxTicks {
-			return nil, false, errBatchTooLarge(maxTicks)
-		}
-		pb.AppendState(vocab, t.ToState())
-	}
-	if pb.Len() == 0 {
-		return nil, false, &decodeError{http.StatusBadRequest, "no ticks in body"}
-	}
-	return pb, true, nil
+	return pb, nil
 }
 
 // maxBodyPrealloc caps the buffer ReadBody allocates up front from a
@@ -996,14 +976,11 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	_ = rc.SetReadDeadline(time.Time{})
-	packed, lenient, err := decodeBatch(sess.vocab, body, s.cfg.MaxBatchTicks)
+	packed, err := decodeBatch(sess.vocab, body, s.cfg.MaxBatchTicks)
 	var refused *decodeError
 	if errors.As(err, &refused) {
 		WriteError(w, refused.status, "%s", refused.msg)
 		return
-	}
-	if lenient {
-		s.metrics.lenientDecodes.Add(1)
 	}
 	nticks := packed.Len()
 	decodeDur := time.Since(decodeStart)

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/event"
 	"repro/internal/faultinject"
+	"repro/internal/jsonx"
 	"repro/internal/monitor"
 	"repro/internal/verif"
 	"repro/internal/wal"
@@ -409,7 +410,7 @@ func tickLen(t StateJSON) int {
 // AppendTick appends t as one NDJSON ingest line to dst and returns the
 // extended slice. The bytes are exactly what json.Encoder writes for t:
 // events in slice order, props with sorted keys, empty fields omitted,
-// names escaped as appendJSONString does, a trailing newline. Only a
+// names escaped as jsonx.AppendString does, a trailing newline. Only a
 // tick with more props than the stack scratch holds allocates once dst
 // has room.
 func AppendTick(dst []byte, t StateJSON) []byte {
@@ -421,7 +422,7 @@ func appendState(dst []byte, t StateJSON) []byte {
 	dst = append(dst, '{')
 	if len(t.Events) > 0 {
 		dst = append(dst, `"events":`...)
-		dst = appendStrings(dst, t.Events)
+		dst = jsonx.AppendStrings(dst, t.Events)
 	}
 	if len(t.Props) > 0 {
 		if len(t.Events) > 0 {
@@ -438,7 +439,7 @@ func appendState(dst []byte, t StateJSON) []byte {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendJSONString(dst, k)
+			dst = jsonx.AppendString(dst, k)
 			if t.Props[k] {
 				dst = append(dst, ":true"...)
 			} else {

@@ -15,8 +15,8 @@ import (
 type batch struct {
 	sess *session
 	// packed is the batch's ticks packed over the session vocabulary,
-	// one stride of words per tick — every source of ticks (strict or
-	// lenient NDJSON, VCD) lands here.
+	// one stride of words per tick — every source of ticks (an NDJSON
+	// body, a VCD stream) lands here.
 	packed *event.PackedBatch
 	// raw is the batch as NDJSON: the verbatim request body, or a VCD
 	// chunk encoded one StateJSON line per tick. The journal appends it

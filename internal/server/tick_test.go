@@ -199,30 +199,29 @@ func strictBody(n int) []byte {
 	return body
 }
 
-// TestDecodeBatchTooManyTicksStrict answers 413 for a strict body one
-// tick past the limit without re-decoding it through encoding/json: the
-// lenient decoder allocates per tick, so the allocations of the refusal
-// must stay flat as the limit grows, but for the packed batch's own
-// growth by doubling.
+// TestDecodeBatchTooManyTicksStrict answers 413 for a body one tick past
+// the limit as soon as the decoder reaches that tick: the allocations of
+// the refusal must stay flat as the limit grows, but for the packed
+// batch's own growth by doubling.
 func TestDecodeBatchTooManyTicksStrict(t *testing.T) {
 	vocab := event.NewVocabulary()
 	vocab.MustDeclare("MCmd_rd", event.KindEvent)
 	vocab.MustDeclare("Addr", event.KindEvent)
 	refusal := func(maxTicks int) float64 {
 		body := strictBody(maxTicks + 1)
-		_, _, err := decodeBatch(vocab, body, maxTicks)
+		_, err := decodeBatch(vocab, body, maxTicks)
 		var de *decodeError
 		if !errors.As(err, &de) || de.status != http.StatusRequestEntityTooLarge {
 			t.Fatalf("maxTicks %d: decodeBatch = %v, want 413", maxTicks, err)
 		}
-		return testing.AllocsPerRun(5, func() { _, _, _ = decodeBatch(vocab, body, maxTicks) })
+		return testing.AllocsPerRun(5, func() { _, _ = decodeBatch(vocab, body, maxTicks) })
 	}
 	const doublings = 6
 	small, large := refusal(64), refusal(64<<doublings)
 	if large > small+2*doublings {
 		t.Fatalf("413 allocations grow with the limit: %.0f at 64 ticks, %.0f at %d", small, large, 64<<doublings)
 	}
-	if _, _, err := decodeBatch(vocab, strictBody(64), 64); err != nil {
+	if _, err := decodeBatch(vocab, strictBody(64), 64); err != nil {
 		t.Fatalf("a batch at the limit is refused: %v", err)
 	}
 }
