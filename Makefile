@@ -45,11 +45,14 @@ conformance:
 
 # Native Go fuzz targets, one package at a time (go test allows a single
 # -fuzz pattern per invocation). Checked-in seed corpora live under each
-# package's testdata/fuzz/.
+# package's testdata/fuzz/. FuzzReadFrames seeds from multi-kilobyte
+# golden segments, whose interesting mutations would otherwise spend the
+# whole budget in the default 60s minimization.
 fuzz:
 	$(GO) test ./internal/parser/ -run='^$$' -fuzz=FuzzParseChart -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/trace/ -run='^$$' -fuzz=FuzzStreamVCD -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal/ -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/wal/ -run='^$$' -fuzz=FuzzReadFrames -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s
 	$(GO) test ./internal/server/ -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server/ -run='^$$' -fuzz=FuzzAppendTick -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/server/ -run='^$$' -fuzz=FuzzReadBodies -fuzztime=$(FUZZTIME)

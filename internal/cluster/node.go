@@ -734,6 +734,7 @@ func (n *Node) routes() {
 }
 
 func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
+	server.ArmBodyDeadline(w)
 	var m Member
 	if err := json.NewDecoder(r.Body).Decode(&m); err != nil || m.Name == "" || m.URL == "" {
 		server.WriteError(w, http.StatusBadRequest, "join needs {name, url}")
@@ -744,6 +745,7 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 }
 
 func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
+	server.ArmBodyDeadline(w)
 	var body struct {
 		Name string `json:"name"`
 	}
@@ -756,6 +758,7 @@ func (n *Node) handleLeave(w http.ResponseWriter, r *http.Request) {
 }
 
 func (n *Node) handleAdopt(w http.ResponseWriter, r *http.Request) {
+	server.ArmBodyDeadline(w)
 	var info RingInfo
 	if err := json.NewDecoder(r.Body).Decode(&info); err != nil {
 		server.WriteError(w, http.StatusBadRequest, "adopt needs a ring")
@@ -769,6 +772,7 @@ func (n *Node) handleAdopt(w http.ResponseWriter, r *http.Request) {
 // ring if newer, then fence — the handoff only lands if this node owns
 // the session under a ring at least as new as the sender's.
 func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
+	server.ArmBodyDeadline(w)
 	var req migrateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Session == "" {
 		server.WriteError(w, http.StatusBadRequest, "migrate needs {ring, session, snapshot}")
@@ -793,21 +797,43 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, map[string]string{"adopted": req.Session})
 }
 
+// handleReplicate applies one standby ship of journal frames. Every
+// frame is checked before the copy is wiped (reset=1) or appended to,
+// so a refused ship leaves the copy as it was.
 func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
+	server.ArmBodyDeadline(w)
 	if n.standby == nil {
 		server.WriteError(w, http.StatusNotImplemented, "node %s has no standby store", n.self.Name)
 		return
 	}
-	var req replicateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Session == "" {
-		server.WriteError(w, http.StatusBadRequest, "replicate needs {session, records}")
+	if ct := r.Header.Get("Content-Type"); ct != frameContentType {
+		server.WriteError(w, http.StatusUnsupportedMediaType, "replicate takes %s journal frames, not %q", frameContentType, ct)
 		return
 	}
-	if err := n.standby.append(req.Session, req.Reset, req.Records); err != nil {
-		server.WriteError(w, http.StatusInternalServerError, "standby append for %s: %v", req.Session, err)
+	q := r.URL.Query()
+	id := q.Get("session")
+	if id == "" {
+		server.WriteError(w, http.StatusBadRequest, "replicate needs ?session")
 		return
 	}
-	server.WriteJSON(w, http.StatusOK, map[string]int{"appended": len(req.Records)})
+	body, err := server.ReadBody(r.Body, r.ContentLength)
+	if err != nil {
+		server.WriteError(w, http.StatusBadRequest, "reading body: %v", err)
+		return
+	}
+	var recs []wal.Record
+	if err := wal.ReadFrames(body, func(rec wal.Record) error {
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
+		server.WriteError(w, http.StatusBadRequest, "replicate body: %v", err)
+		return
+	}
+	if err := n.standby.append(id, q.Get("reset") == "1", recs); err != nil {
+		server.WriteError(w, http.StatusInternalServerError, "standby append for %s: %v", id, err)
+		return
+	}
+	server.WriteJSON(w, http.StatusOK, map[string]int{"appended": len(recs)})
 }
 
 // route is the catch-all: session traffic is ring-routed, /metrics is
@@ -980,25 +1006,33 @@ func (b *respBuffer) Write(p []byte) (int, error) { return b.buf.Write(p) }
 
 // ─── peer HTTP helpers ────────────────────────────────────────────────
 
+// postJSON POSTs body as JSON to a peer and decodes a 200's JSON
+// answer into out (when non-nil).
 func (n *Node) postJSON(baseURL, path string, body, out any) error {
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequest(http.MethodPost, strings.TrimRight(baseURL, "/")+path, bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return n.doJSON(req, out)
+	_, err = n.call(http.MethodPost, baseURL, path, "application/json", payload, out)
+	return err
 }
 
 // getJSONHdr performs a GET and returns the response headers along with
 // the decoded body — ring probes read the X-Cesc-Load gossip from them.
 func (n *Node) getJSONHdr(baseURL, path string, out any) (http.Header, error) {
-	req, err := http.NewRequest(http.MethodGet, strings.TrimRight(baseURL, "/")+path, nil)
+	return n.call(http.MethodGet, baseURL, path, "", nil, out)
+}
+
+// call sends one request to a peer, with body as contentType when there
+// is one, decodes a 200's JSON answer into out (when non-nil), and
+// returns the answer's headers.
+func (n *Node) call(method, baseURL, path, contentType string, body []byte, out any) (http.Header, error) {
+	req, err := http.NewRequest(method, strings.TrimRight(baseURL, "/")+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
 	}
 	resp, err := n.hc.Do(req)
 	if err != nil {
@@ -1010,29 +1044,10 @@ func (n *Node) getJSONHdr(baseURL, path string, out any) (http.Header, error) {
 		return resp.Header, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return resp.Header, fmt.Errorf("cluster: GET %s: %s: %s", req.URL.Path, resp.Status, strings.TrimSpace(string(raw)))
+		return resp.Header, fmt.Errorf("cluster: %s %s: %s: %s", method, req.URL.Path, resp.Status, strings.TrimSpace(string(raw)))
 	}
 	if out != nil {
 		return resp.Header, json.Unmarshal(raw, out)
 	}
 	return resp.Header, nil
-}
-
-func (n *Node) doJSON(req *http.Request, out any) error {
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: %s %s: %s: %s", req.Method, req.URL.Path, resp.Status, strings.TrimSpace(string(raw)))
-	}
-	if out != nil {
-		return json.Unmarshal(raw, out)
-	}
-	return nil
 }

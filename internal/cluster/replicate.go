@@ -2,27 +2,34 @@ package cluster
 
 // Warm-standby replication: each owner tails its sessions' WAL journals
 // (wal.ReadFrom) and ships new records to the ring successor's standby
-// store over POST /cluster/replicate. The successor is exactly where
-// those keys land if the owner dies, so promotion is a local replay.
+// store as journal frames (wal.AppendFrame) in the octet-stream body of
+// POST /cluster/replicate?session=ID[&reset=1]. The successor is exactly
+// where those keys land if the owner dies, so promotion is a local replay.
 //
 // The cursor protocol keeps a standby copy equal to a prefix of the
 // owner's journal:
 //
 //   - A fresh cursor (new session, or the successor changed) ships with
-//     reset=true: the receiver wipes any stale copy before appending.
+//     reset=1: the receiver wipes any stale copy before appending.
 //   - A checkpoint on the owner prunes old segments; ReadFrom detects
-//     the prune and restarts from the snapshot with reset=true, and the
+//     the prune and restarts from the snapshot with reset=1, and the
 //     standby copy collapses to the same snapshot + tail.
 //   - Ship failures leave the cursor untouched; the next cycle re-reads
-//     the same records. Appending is idempelement only via reset, so a
-//     half-applied ship is impossible: the receiver appends and syncs
-//     before answering 200.
+//     the same records. Appending is idempotent only via reset, so a
+//     ship must never be half-applied: the receiver checks every frame
+//     (wal.ReadFrames) before it wipes or appends anything, and syncs
+//     before answering 200. A bad frame gets 400 and any other body
+//     format (an older node's JSON) 415, so a ship between nodes of
+//     different versions fails loudly and retries.
 //
 // Loss window: records appended after the last successful ship. The
 // client's ?seq dedup watermark (inside the shipped records) makes
 // cross-promotion retries exactly-once.
 
 import (
+	"net/http"
+	"net/url"
+	"slices"
 	"sync"
 	"time"
 
@@ -30,17 +37,8 @@ import (
 	"repro/internal/wal"
 )
 
-// recordJSON is one WAL record on the wire.
-type recordJSON struct {
-	Kind    byte   `json:"kind"`
-	Payload []byte `json:"payload"`
-}
-
-type replicateRequest struct {
-	Session string       `json:"session"`
-	Reset   bool         `json:"reset,omitempty"`
-	Records []recordJSON `json:"records"`
-}
+// frameContentType is the media type of a replicate body.
+const frameContentType = "application/octet-stream"
 
 // replicator tails local session journals and ships them to standbys.
 type replicator struct {
@@ -142,9 +140,11 @@ func (r *replicator) shipSession(wm *wal.Manager, id string, succ Member) int64 
 	if reset {
 		pos = wal.Position{}
 	}
-	var recs []recordJSON
+	var body []byte
+	var recs int
 	next, wasReset, err := wm.ReadFrom(id, pos, func(rec wal.Record) error {
-		recs = append(recs, recordJSON{Kind: rec.Kind, Payload: append([]byte(nil), rec.Payload...)})
+		body = wal.AppendFrame(body, rec.Kind, rec.Payload)
+		recs++
 		return nil
 	})
 	if err != nil {
@@ -152,18 +152,21 @@ func (r *replicator) shipSession(wm *wal.Manager, id string, succ Member) int64 
 		return r.lag(wm, id, pos)
 	}
 	reset = reset || wasReset
-	if len(recs) == 0 && !reset {
+	if recs == 0 && !reset {
 		return r.lag(wm, id, next)
 	}
-	req := replicateRequest{Session: id, Reset: reset, Records: recs}
-	if err := n.postJSON(succ.URL, "/cluster/replicate", req, nil); err != nil {
+	q := url.Values{"session": {id}}
+	if reset {
+		q.Set("reset", "1")
+	}
+	if _, err := n.call(http.MethodPost, succ.URL, "/cluster/replicate?"+q.Encode(), frameContentType, body, nil); err != nil {
 		n.metrics.replicationErrors.Add(1)
 		return r.lag(wm, id, pos)
 	}
 	r.mu.Lock()
 	cur.pos, cur.peer, cur.started = next, succ.Name, true
 	r.mu.Unlock()
-	n.metrics.recordsReplicated.Add(uint64(len(recs)))
+	n.metrics.recordsReplicated.Add(uint64(recs))
 	return r.lag(wm, id, next)
 }
 
@@ -194,7 +197,7 @@ func newStandbyStore(mgr *wal.Manager) *standbyStore {
 // append applies one replication ship: optionally wipe, then append
 // records (checkpoints go through AppendCheckpoint so standby disk use
 // tracks the owner's) and sync before acknowledging.
-func (s *standbyStore) append(id string, reset bool, recs []recordJSON) error {
+func (s *standbyStore) append(id string, reset bool, recs []wal.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if reset {
@@ -227,7 +230,7 @@ func (s *standbyStore) take(id string) ([]wal.Record, error) {
 	s.closeLocked(id)
 	var recs []wal.Record
 	j, err := s.mgr.OpenJournal(id, func(rec wal.Record) error {
-		recs = append(recs, wal.Record{Kind: rec.Kind, Payload: append([]byte(nil), rec.Payload...)})
+		recs = append(recs, rec)
 		return nil
 	})
 	if err != nil {
@@ -253,15 +256,7 @@ func (s *standbyStore) has(id string) bool {
 	}
 	s.mu.Unlock()
 	ids, err := s.mgr.List()
-	if err != nil {
-		return false
-	}
-	for _, have := range ids {
-		if have == id {
-			return true
-		}
-	}
-	return false
+	return err == nil && slices.Contains(ids, id)
 }
 
 // list names every session with a standby copy.

@@ -60,9 +60,10 @@ const (
 
 // RecordSnapshot is exported for the cluster layer, which passes
 // journal records through verbatim: the replicator tails an owner's
-// journal and appends the same records to the standby copy, applying
-// snapshots via a checkpoint so the standby journal is pruned in
-// lockstep with the owner's.
+// journal and ships its records as the same frames, and the standby
+// checks every frame of a ship before it appends any of them to its
+// copy, applying snapshots via a checkpoint so the standby journal is
+// pruned in lockstep with the owner's.
 const RecordSnapshot = recSnapshot
 
 // rawBatchHeaderLen is the fixed prefix of a recBatchRaw payload: jseq

@@ -30,7 +30,7 @@ type minedSpec struct {
 // symbols no chart can name are skipped and listed under
 // skipped_symbols.
 func (s *Server) handleMineSpecs(w http.ResponseWriter, r *http.Request) {
-	armBodyDeadline(w)
+	ArmBodyDeadline(w)
 	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "reading body: %v", err)

@@ -609,7 +609,7 @@ func (s *Server) handleListSpecs(w http.ResponseWriter, _ *http.Request) {
 // ?replace=1 overwrites existing names (sessions keep the monitors they
 // were created with).
 func (s *Server) handleLoadSpecs(w http.ResponseWriter, r *http.Request) {
-	armBodyDeadline(w)
+	ArmBodyDeadline(w)
 	src, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "reading body: %v", err)
@@ -638,7 +638,7 @@ type createSessionRequest struct {
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	armBodyDeadline(w)
+	ArmBodyDeadline(w)
 	if s.govLevel() >= govLevelThrottleSessions {
 		// Degradation level 2: new sessions are the sheddable work —
 		// existing sessions keep ingesting. The jittered Retry-After
@@ -863,20 +863,22 @@ func decodeBatch(vocab *event.Vocabulary, body []byte, maxTicks int) (*event.Pac
 // as it arrives.
 const maxBodyPrealloc = 256 << 10
 
-// bodyReadTimeout bounds the body read of one request, so a client that
+// BodyReadTimeout bounds the body read of one request, so a client that
 // sends a header and then stalls is cut off instead of pinning its
-// connection and read buffer. A variable only so tests can shorten it.
-var bodyReadTimeout = 30 * time.Second
+// connection and read buffer. A variable only so tests (here and in the
+// cluster layer) can shorten it.
+var BodyReadTimeout = 30 * time.Second
 
-// armBodyDeadline bounds the read of a request's body to bodyReadTimeout
+// ArmBodyDeadline bounds the read of a request's body to BodyReadTimeout
 // from now. Every handler that reads a body calls it first, before any
-// early answer: net/http drains the unread body of an answered request
-// under the same deadline, so a stalled client is cut off there too.
-// The next request on the connection starts with net/http's own
-// deadlines. A writer that cannot take a deadline reads unbounded.
-func armBodyDeadline(w http.ResponseWriter) *http.ResponseController {
+// early answer (the cluster layer's handlers too): net/http drains the
+// unread body of an answered request under the same deadline, so a
+// stalled client is cut off there too. The next request on the
+// connection starts with net/http's own deadlines. A writer that cannot
+// take a deadline reads unbounded.
+func ArmBodyDeadline(w http.ResponseWriter) *http.ResponseController {
 	rc := http.NewResponseController(w)
-	_ = rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
+	_ = rc.SetReadDeadline(time.Now().Add(BodyReadTimeout))
 	return rc
 }
 
@@ -890,7 +892,7 @@ type progressReader struct {
 }
 
 func (p progressReader) Read(b []byte) (int, error) {
-	_ = p.rc.SetReadDeadline(time.Now().Add(bodyReadTimeout))
+	_ = p.rc.SetReadDeadline(time.Now().Add(BodyReadTimeout))
 	return p.r.Read(b)
 }
 
@@ -925,7 +927,7 @@ func ReadBody(body io.Reader, declared int64) ([]byte, error) {
 // absorbed by the dedup watermark.
 func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	ingestStart := time.Now()
-	rc := armBodyDeadline(w)
+	rc := ArmBodyDeadline(w)
 	sess, err := s.fetchSession(r.PathValue("id"))
 	if err != nil {
 		if errors.Is(err, ErrNoSession) {
@@ -1185,7 +1187,7 @@ const vcdChunkTicks = 256
 // others are events. Backpressure is applied by blocking the upload,
 // never by dropping mid-stream.
 func (s *Server) handleVCD(w http.ResponseWriter, r *http.Request) {
-	rc := armBodyDeadline(w)
+	rc := ArmBodyDeadline(w)
 	sess, err := s.fetchSession(r.PathValue("id"))
 	if err != nil {
 		if errors.Is(err, ErrNoSession) {

@@ -322,7 +322,7 @@ func TestTicksBodyShort(t *testing.T) {
 	}
 }
 
-// TestTicksBodyDeadline holds request bodies to bodyReadTimeout. A raw
+// TestTicksBodyDeadline holds request bodies to BodyReadTimeout. A raw
 // client that sends a header and part of its body, then stalls with the
 // connection open, must get an answer or a close within the deadline
 // plus slack: on the ticks, specs, sessions and VCD endpoints, and on a
@@ -334,8 +334,8 @@ func TestTicksBodyShort(t *testing.T) {
 // body is read, so it carries over neither into net/http's background
 // read during the wait nor into the next request.
 func TestTicksBodyDeadline(t *testing.T) {
-	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
-	bodyReadTimeout = 200 * time.Millisecond
+	defer func(d time.Duration) { BodyReadTimeout = d }(BodyReadTimeout)
+	BodyReadTimeout = 200 * time.Millisecond
 	s, err := New(Config{Shards: 1, QueueDepth: 4, TickDelay: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -374,17 +374,17 @@ func TestTicksBodyDeadline(t *testing.T) {
 		}
 		start := time.Now()
 		fmt.Fprintf(stalled, "POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", tc.path, 10*len(tc.part), tc.part)
-		stalled.SetReadDeadline(start.Add(bodyReadTimeout + slack))
+		stalled.SetReadDeadline(start.Add(BodyReadTimeout + slack))
 		if resp, err := http.ReadResponse(bufio.NewReader(stalled), nil); err == nil {
 			resp.Body.Close()
 			if resp.StatusCode != tc.want {
 				t.Errorf("%s: stalled body: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 			}
 		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			t.Errorf("%s: stalled body: no answer or close within %v", tc.name, bodyReadTimeout+slack)
+			t.Errorf("%s: stalled body: no answer or close within %v", tc.name, BodyReadTimeout+slack)
 		}
-		if d := time.Since(start); d > bodyReadTimeout+slack {
-			t.Errorf("%s: stalled body cut off after %v, want within %v", tc.name, d, bodyReadTimeout+slack)
+		if d := time.Since(start); d > BodyReadTimeout+slack {
+			t.Errorf("%s: stalled body cut off after %v, want within %v", tc.name, d, BodyReadTimeout+slack)
 		}
 		stalled.Close()
 	}
@@ -395,7 +395,7 @@ func TestTicksBodyDeadline(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	body := strictBody(4) // 4 ticks × TickDelay outlasts bodyReadTimeout
+	body := strictBody(4) // 4 ticks × TickDelay outlasts BodyReadTimeout
 	for seq := 1; seq <= 2; seq++ {
 		fmt.Fprintf(conn, "POST /sessions/%s/ticks?wait=1&seq=%d HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", sess.ID, seq, len(body), body)
 		conn.SetReadDeadline(time.Now().Add(10 * time.Second))

@@ -8,7 +8,6 @@ package wal
 // longer contiguous with what it shipped before.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -24,9 +23,6 @@ type Position struct {
 	Segment uint64 `json:"segment"`
 	Offset  int64  `json:"offset"`
 }
-
-// IsZero reports whether p is the beginning-of-journal position.
-func (p Position) IsZero() bool { return p.Segment == 0 && p.Offset == 0 }
 
 // ReadFrom scans the session's journal from pos, invoking fn for every
 // intact record in order, and returns the position just past the last
@@ -150,55 +146,28 @@ func scanSegmentFrom(path string, off int64, last bool, fn func(Record) error) (
 	if off > st.Size() {
 		return 0, false, errOffsetPastEnd
 	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return 0, false, fmt.Errorf("wal: seeking %s: %w", path, err)
+	data := make([]byte, st.Size()-off)
+	if _, err := f.ReadAt(data, off); err != nil {
+		return 0, false, fmt.Errorf("wal: reading %s: %w", path, err)
 	}
-	var hdr [frameOverhead]byte
 	for {
-		_, err := io.ReadFull(f, hdr[:])
-		if err == io.EOF {
+		rec, size, err := readFrame(data[consumed:])
+		switch {
+		case err == io.EOF:
 			return consumed, false, nil
-		}
-		if err == io.ErrUnexpectedEOF {
-			// The owner's append is in flight; resume here next call.
-			if !last {
-				return consumed, true, fmt.Errorf("wal: %s: truncated record mid-journal at offset %d", path, off+consumed)
-			}
+		case last && (err == errTorn || err == errCRC):
+			// At the newest segment's tail a short frame is the owner's
+			// append in flight; a CRC mismatch is treated the same (real
+			// corruption stalls the stream, which the lag gauge shows).
+			// The next call resumes here.
 			return consumed, true, nil
+		case err != nil:
+			return consumed, true, corruptAt(path, int(off+consumed), err)
 		}
-		if err != nil {
-			return consumed, true, fmt.Errorf("wal: reading %s: %w", path, err)
-		}
-		size := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		kind := hdr[8]
-		if size > maxPayload {
-			return consumed, true, fmt.Errorf("wal: %s: record length %d exceeds limit at offset %d", path, size, off+consumed)
-		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			if err == io.ErrUnexpectedEOF || err == io.EOF {
-				if !last {
-					return consumed, true, fmt.Errorf("wal: %s: truncated record mid-journal at offset %d", path, off+consumed)
-				}
-				return consumed, true, nil
-			}
-			return consumed, true, fmt.Errorf("wal: reading %s: %w", path, err)
-		}
-		if recordCRC(kind, payload) != crc {
-			if !last {
-				return consumed, true, fmt.Errorf("wal: %s: CRC mismatch at offset %d (mid-journal corruption)", path, off+consumed)
-			}
-			// On the newest segment a CRC mismatch at the tail is treated
-			// like an in-flight write: stop and let the next call retry.
-			// Real corruption stalls the stream here, which the
-			// replication-lag gauge makes visible.
-			return consumed, true, nil
-		}
-		if err := fn(Record{Kind: kind, Payload: payload}); err != nil {
+		if err := fn(rec); err != nil {
 			return consumed, true, err
 		}
-		consumed += frameOverhead + int64(size)
+		consumed += int64(size)
 	}
 }
 
@@ -236,26 +205,4 @@ func (m *Manager) Distance(id string, pos Position) (int64, error) {
 		total += size
 	}
 	return total, nil
-}
-
-// End returns the position just past the last byte of the session's
-// journal (zero when no journal exists).
-func (m *Manager) End(id string) (Position, error) {
-	dir := filepath.Join(m.opts.Dir, id)
-	segs, err := listSegments(dir)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return Position{}, nil
-		}
-		return Position{}, err
-	}
-	if len(segs) == 0 {
-		return Position{}, nil
-	}
-	last := segs[len(segs)-1]
-	st, err := os.Stat(filepath.Join(dir, segName(last)))
-	if err != nil {
-		return Position{}, err
-	}
-	return Position{Segment: last, Offset: st.Size()}, nil
 }

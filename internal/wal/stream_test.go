@@ -173,7 +173,7 @@ func TestReadFromMissingJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs, pos, reset := streamAll(t, m, "nope", Position{})
-	if len(recs) != 0 || reset || !pos.IsZero() {
+	if len(recs) != 0 || reset || pos != (Position{}) {
 		t.Fatalf("missing journal: got %d records, reset=%v, pos=%+v", len(recs), reset, pos)
 	}
 }
@@ -196,10 +196,6 @@ func TestDistanceAndEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	end, err := m.End("s1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	full, err := m.Distance("s1", Position{})
 	if err != nil {
 		t.Fatal(err)
@@ -207,10 +203,7 @@ func TestDistanceAndEnd(t *testing.T) {
 	if full == 0 {
 		t.Fatal("full distance is zero after appends")
 	}
-	if d, _ := m.Distance("s1", end); d != 0 {
-		t.Fatalf("distance at end = %d, want 0", d)
-	}
-	// A caught-up reader's position equals End.
+	// A caught-up reader's position is the journal's end.
 	_, pos, _ := streamAll(t, m, "s1", Position{})
 	if d, _ := m.Distance("s1", pos); d != 0 {
 		t.Fatalf("distance at reader position = %d, want 0", d)

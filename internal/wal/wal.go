@@ -16,10 +16,13 @@
 // record that is cut short or fails its CRC (the torn write of a crash)
 // is truncated away and the journal resumes appending after the last
 // intact record. Corruption anywhere before the tail is reported as an
-// error — that is data loss, not a crash artifact.
+// error — that is data loss, not a crash artifact. The same frames are
+// the wire format of standby replication: AppendFrame encodes one, and
+// ReadFrames reads a byte sequence of them strictly.
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -328,90 +331,110 @@ func listSegments(dir string) ([]uint64, error) {
 }
 
 // scanSegment replays one segment. On the final segment a trailing
-// short or CRC-failing record is truncated away (torn write); anywhere
-// else it is corruption and an error.
+// short or corrupt record is truncated away (torn write); anywhere else
+// it is corruption and an error.
 func (j *Journal) scanSegment(seg uint64, last bool, fn func(Record) error) error {
 	path := filepath.Join(j.dir, segName(seg))
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("wal: opening %s: %w", path, err)
+		return fmt.Errorf("wal: reading %s: %w", path, err)
 	}
-	defer f.Close()
-	var off int64
-	var hdr [frameOverhead]byte
-	for {
-		n, err := io.ReadFull(f, hdr[:])
+	for off := 0; ; {
+		rec, size, err := readFrame(data[off:])
 		if err == io.EOF {
 			return nil
 		}
-		if err == io.ErrUnexpectedEOF {
-			return j.truncateTail(path, off, int64(n), last)
-		}
 		if err != nil {
-			return fmt.Errorf("wal: reading %s: %w", path, err)
-		}
-		size := binary.LittleEndian.Uint32(hdr[0:4])
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		kind := hdr[8]
-		if size > maxPayload {
-			return j.truncateCorrupt(path, off, last,
-				fmt.Sprintf("record length %d exceeds limit", size))
-		}
-		payload := make([]byte, size)
-		if n, err := io.ReadFull(f, payload); err != nil {
-			if err == io.ErrUnexpectedEOF || err == io.EOF {
-				return j.truncateTail(path, off, int64(frameOverhead+n), last)
+			if !last {
+				return corruptAt(path, off, err)
 			}
-			return fmt.Errorf("wal: reading %s: %w", path, err)
+			j.mgr.torn.Add(uint64(len(data) - off))
+			if err := os.Truncate(path, int64(off)); err != nil {
+				return fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
+			}
+			return nil
 		}
-		if recordCRC(kind, payload) != crc {
-			return j.truncateCorrupt(path, off, last, "CRC mismatch")
-		}
-		if err := fn(Record{Kind: kind, Payload: payload}); err != nil {
+		if err := fn(rec); err != nil {
 			return err
 		}
 		j.mgr.replayed.Add(1)
-		off += frameOverhead + int64(size)
+		off += size
 	}
 }
 
-// truncateTail handles a record cut short at the end of a segment: a
-// torn final write on the last segment is trimmed; anywhere else it is
-// an error.
-func (j *Journal) truncateTail(path string, off, extra int64, last bool) error {
-	if !last {
-		return fmt.Errorf("wal: %s: truncated record mid-journal at offset %d", path, off)
-	}
-	j.mgr.torn.Add(uint64(extra))
-	if err := os.Truncate(path, off); err != nil {
-		return fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
-	}
-	return nil
+// readFrame's verdicts on a frame it cannot deliver.
+var (
+	errTorn    = errors.New("truncated record") // input ends inside the frame
+	errTooLong = errors.New("record length exceeds limit")
+	errCRC     = errors.New("CRC mismatch")
+)
+
+// corruptAt reports a bad frame that no tail policy forgives.
+func corruptAt(path string, off int, err error) error {
+	return fmt.Errorf("wal: %s: %v at offset %d (mid-journal corruption)", path, err, off)
 }
 
-// truncateCorrupt handles an intact-length but corrupt record: torn
-// tail rules on the final segment (everything from the bad record on is
-// dropped), error elsewhere.
-func (j *Journal) truncateCorrupt(path string, off int64, last bool, what string) error {
-	if !last {
-		return fmt.Errorf("wal: %s: %s at offset %d (mid-journal corruption)", path, what, off)
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		return fmt.Errorf("wal: stat %s: %w", path, err)
-	}
-	j.mgr.torn.Add(uint64(st.Size() - off))
-	if err := os.Truncate(path, off); err != nil {
-		return fmt.Errorf("wal: truncating corrupt tail of %s: %w", path, err)
-	}
-	return nil
+// AppendFrame appends the frame of one record to dst and returns the
+// extended slice. It is the only frame encoder: journals write their
+// records with it, and the cluster replicator ships them with it.
+func AppendFrame(dst []byte, kind byte, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, recordCRC(kind, payload))
+	dst = append(dst, kind)
+	return append(dst, payload...)
 }
 
+// readFrame is the only frame parser. It reads the frame at the start
+// of b into a record with a freshly allocated payload and returns the
+// frame's size. It returns io.EOF when b is empty, errTorn when b ends
+// inside the frame, and errTooLong or errCRC when the frame is corrupt;
+// each caller applies its own tail policy to these.
+func readFrame(b []byte) (Record, int, error) {
+	if len(b) == 0 {
+		return Record{}, 0, io.EOF
+	}
+	if len(b) < frameOverhead {
+		return Record{}, 0, errTorn
+	}
+	size := binary.LittleEndian.Uint32(b[0:4])
+	if size > maxPayload {
+		return Record{}, 0, errTooLong
+	}
+	end := frameOverhead + int(size)
+	if end > len(b) {
+		return Record{}, 0, errTorn
+	}
+	if recordCRC(b[8], b[frameOverhead:end]) != binary.LittleEndian.Uint32(b[4:8]) {
+		return Record{}, 0, errCRC
+	}
+	return Record{Kind: b[8], Payload: bytes.Clone(b[frameOverhead:end])}, end, nil
+}
+
+// ReadFrames reads b as a sequence of whole frames and calls fn on each
+// record in order. It is strict: a torn or corrupt frame anywhere in b
+// is an error, as is an error from fn.
+func ReadFrames(b []byte, fn func(Record) error) error {
+	for off := 0; ; {
+		rec, size, err := readFrame(b[off:])
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("wal: %v at offset %d", err, off)
+		}
+		if err := fn(rec); err != nil {
+			return err
+		}
+		off += size
+	}
+}
+
+// recordCRC is the CRC32-IEEE of kind ‖ payload. It allocates nothing:
+// the kind byte takes one step of the table-driven update by hand, and
+// crc32.Update continues from there over the payload.
 func recordCRC(kind byte, payload []byte) uint32 {
-	c := crc32.NewIEEE()
-	c.Write([]byte{kind})
-	c.Write(payload)
-	return c.Sum32()
+	crc := ^(crc32.IEEETable[0xff^kind] ^ 0x00ffffff)
+	return crc32.Update(crc, crc32.IEEETable, payload)
 }
 
 // Append frames and writes one record, rotating segments by size and
@@ -435,12 +458,7 @@ func (j *Journal) appendLocked(kind byte, payload []byte) error {
 			return err
 		}
 	}
-	buf := make([]byte, frameOverhead, frameOverhead+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], recordCRC(kind, payload))
-	buf[8] = kind
-	buf = append(buf, payload...)
-	if _, err := j.f.Write(buf); err != nil {
+	if _, err := j.f.Write(AppendFrame(make([]byte, 0, frame), kind, payload)); err != nil {
 		return fmt.Errorf("wal: writing %s: %w", j.f.Name(), err)
 	}
 	j.segSize += frame
