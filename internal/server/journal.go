@@ -28,7 +28,8 @@ import (
 //	              written (and synced) before the create response. The
 //	              specs travel as source because the automaton is fully
 //	              deterministic to resynthesize, which keeps snapshots
-//	              small and versions the journal against the compiler.
+//	              small and versions the journal against the compiler;
+//	              the registry compiles each distinct source once.
 //	recSnapshot — periodic execution-state checkpoint. Appended via
 //	              wal.AppendCheckpoint, which rotates first so every
 //	              earlier record lands in an older segment and prunes
@@ -122,12 +123,14 @@ type snapshotRecordJSON struct {
 	Monitors []monitorSnapshotJSON `json:"monitors"`
 }
 
-// journalCreate opens a fresh journal for a new session and makes its
-// meta record durable before the create response is sent.
-func (s *Server) journalCreate(sess *session, specs []*Spec) error {
-	meta := sessionMetaJSON{ID: sess.id, Mode: modeString(sess.mode), Created: sess.created, DiagDepth: sess.diagDepth, Tenant: sess.tenant}
-	for _, sp := range specs {
-		meta.Specs = append(meta.Specs, specSourceJSON{Name: sp.Name, Source: sp.Source})
+// openFreshJournal gives sess a new journal holding one durable record:
+// the meta record of a created session, or the snapshot of an adopted
+// one. The journal must be empty; on any error it is abandoned and sess
+// keeps none.
+func (s *Server) openFreshJournal(sess *session, kind byte, rec any) error {
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		return err
 	}
 	j, err := s.wal.OpenJournal(sess.id, func(wal.Record) error {
 		return fmt.Errorf("journal for new session %s is not empty", sess.id)
@@ -135,12 +138,7 @@ func (s *Server) journalCreate(sess *session, specs []*Spec) error {
 	if err != nil {
 		return err
 	}
-	payload, err := json.Marshal(meta)
-	if err != nil {
-		j.Abandon()
-		return err
-	}
-	if err := j.Append(recMeta, payload); err != nil {
+	if err := j.Append(kind, payload); err != nil {
 		j.Abandon()
 		return err
 	}
@@ -150,7 +148,6 @@ func (s *Server) journalCreate(sess *session, specs []*Spec) error {
 	}
 	sess.jrnl = j
 	sess.journaled.Store(true)
-	sess.meta = meta
 	return nil
 }
 
@@ -408,15 +405,44 @@ func (rs *sessionRestorer) replay(jseq uint64, trace string, pb *event.PackedBat
 	rs.replayTicks += pb.Len()
 }
 
-// finish aligns the per-spec reporting watermarks with the restored
-// engine totals: replayed verdicts are session state, not new daemon
-// work, so the first live batch reports only its own delta (matching the
-// daemon-wide accepts/violations counters, which ignore replay too).
-func (rs *sessionRestorer) finish() {
+// restore rebuilds a session from the records feed passes to its apply
+// function — the one replay of crash recovery, revival, migration and
+// promotion — and attributes the replay: the wal_replay stage, a span
+// of the given kind, and batches_replayed. A "migration" that replays
+// batch records is a standby "promotion". The span carries the newest
+// originating trace id the replay saw, so a merged cluster timeline
+// shows the recovered ticks under the client's own trace. A nil session
+// with nil error means the records held no meta or snapshot record.
+func (s *Server) restore(kind string, feed func(apply func(wal.Record) error) error) (*session, error) {
+	start := time.Now()
+	rs := &sessionRestorer{srv: s}
+	if err := feed(rs.apply); err != nil || rs.sess == nil {
+		return nil, err
+	}
+	// Replayed verdicts are session state, not new daemon work: align the
+	// per-spec reporting watermarks with the restored engine totals, so
+	// the first live batch reports only its own delta (matching the
+	// daemon-wide accepts/violations counters, which ignore replay too).
 	for _, sm := range rs.sess.mons {
 		st := sm.eng.Stats()
 		sm.reportedAccepts, sm.reportedViolations = uint64(st.Accepts), uint64(st.Violations)
 	}
+	if kind == "migration" && rs.replayed > 0 {
+		kind = "promotion"
+	}
+	trace := kind
+	if rs.lastTrace != "" {
+		trace = rs.lastTrace
+	}
+	dur := time.Since(start)
+	s.metrics.observeStage(obs.StageWALReplay, dur)
+	s.tracer.Record(rs.sess.shard, obs.Span{
+		Trace: trace, Session: rs.sess.id, Stage: obs.StageWALReplay,
+		Kind: kind, Start: start, Dur: dur, Ticks: rs.replayTicks,
+		Note: fmt.Sprintf("replayed %d batches", rs.replayed),
+	})
+	s.metrics.batchesReplayed.Add(rs.replayed)
+	return rs.sess, nil
 }
 
 // rebuildFromJournal replays one session's journal into a fresh session
@@ -425,38 +451,21 @@ func (rs *sessionRestorer) finish() {
 // open journal and is not yet registered; a nil session with nil error
 // means the journal held no meta record (a never-acknowledged session)
 // and was removed.
-func (s *Server) rebuildFromJournal(id, traceTag string) (*session, error) {
-	replayStart := time.Now()
-	rs := &sessionRestorer{srv: s}
-	j, err := s.wal.OpenJournal(id, rs.apply)
+func (s *Server) rebuildFromJournal(id, kind string) (*session, error) {
+	var j *wal.Journal
+	sess, err := s.restore(kind, func(apply func(wal.Record) error) (err error) {
+		j, err = s.wal.OpenJournal(id, apply)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	if rs.sess == nil {
+	if sess == nil {
 		j.Abandon()
 		return nil, s.wal.Remove(id)
 	}
-	sess := rs.sess
 	sess.jrnl = j
 	sess.journaled.Store(true)
-	rs.finish()
-	replayDur := time.Since(replayStart)
-	s.metrics.observeStage(obs.StageWALReplay, replayDur)
-	// A replay that saw traced batches attributes the span to the newest
-	// originating trace, so a merged cluster timeline shows the recovered
-	// ticks under the client's own trace id; the tag ("recovery",
-	// "revival", "promotion") stays visible as the span kind.
-	spanTrace := traceTag
-	if rs.lastTrace != "" {
-		spanTrace = rs.lastTrace
-	}
-	s.tracer.Record(sess.shard, obs.Span{
-		Trace: spanTrace, Session: sess.id, Stage: obs.StageWALReplay,
-		Kind:  traceTag,
-		Start: replayStart, Dur: replayDur, Ticks: rs.replayTicks,
-		Note: fmt.Sprintf("replayed %d batches", rs.replayed),
-	})
-	s.metrics.batchesReplayed.Add(rs.replayed)
 	return sess, nil
 }
 
@@ -470,8 +479,9 @@ func (s *Server) recoverSession(id string) error {
 	return nil
 }
 
-// sessionFromMeta resynthesizes a session's monitors from the journaled
-// spec sources and rebuilds the (empty) session around them.
+// sessionFromMeta resolves the journaled spec sources through the
+// registry, which compiles each distinct source once, and rebuilds the
+// (empty) session around them.
 func (s *Server) sessionFromMeta(meta sessionMetaJSON) (*session, error) {
 	mode, err := parseMode(meta.Mode)
 	if err != nil {
@@ -482,7 +492,7 @@ func (s *Server) sessionFromMeta(meta sessionMetaJSON) (*session, error) {
 	}
 	specs := make([]*Spec, 0, len(meta.Specs))
 	for _, ss := range meta.Specs {
-		sp, err := compileSingleSpec(ss.Name, ss.Source)
+		sp, err := s.specs.resolve(ss.Name, ss.Source)
 		if err != nil {
 			return nil, err
 		}
@@ -491,9 +501,15 @@ func (s *Server) sessionFromMeta(meta sessionMetaJSON) (*session, error) {
 	sess := newSession(meta.ID, mode, shardFor(meta.ID, len(s.shards)), specs, s.cfg.Faults, meta.DiagDepth)
 	sess.created = meta.Created
 	sess.meta = meta
-	sess.tenant = meta.Tenant
-	if sess.tenant == "" {
-		sess.tenant = fallbackTenant(meta.ID)
-	}
+	sess.tenant = meta.tenant()
 	return sess, nil
+}
+
+// tenant is the session's quota key: the journaled one, or for journals
+// written before tenancy the session-ID prefix.
+func (m *sessionMetaJSON) tenant() string {
+	if m.Tenant == "" {
+		return fallbackTenant(m.ID)
+	}
+	return m.Tenant
 }

@@ -58,20 +58,25 @@ func FuzzJournalReplay(f *testing.F) {
 				return
 			}
 		}
-		rs := &sessionRestorer{srv: srv}
-		if err := rs.apply(wal.Record{Kind: recMeta, Payload: meta}); err != nil {
-			t.Fatalf("golden meta record: %v", err)
+		var metaErr error
+		sess, err := srv.restore("recovery", func(apply func(wal.Record) error) error {
+			if metaErr = apply(wal.Record{Kind: recMeta, Payload: meta}); metaErr != nil {
+				return metaErr
+			}
+			return apply(wal.Record{Kind: kind, Payload: payload})
+		})
+		if metaErr != nil {
+			t.Fatalf("golden meta record: %v", metaErr)
 		}
-		if err := rs.apply(wal.Record{Kind: kind, Payload: payload}); err != nil {
+		if err != nil {
 			return
 		}
-		if rs.sess == nil {
+		if sess == nil {
 			t.Fatalf("record kind %d accepted without a session", kind)
 		}
-		rs.finish()
-		rs.sess.verdicts()
-		rs.sess.diagnostics()
-		if _, err := json.Marshal(buildSnapshotRecord(rs.sess)); err != nil {
+		sess.verdicts()
+		sess.diagnostics()
+		if _, err := json.Marshal(buildSnapshotRecord(sess)); err != nil {
 			t.Fatalf("snapshot of the replayed session: %v", err)
 		}
 	})

@@ -21,9 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/wal"
 )
 
@@ -108,24 +106,13 @@ func (s *Server) ExportSession(id string) ([]byte, error) {
 // (still frozen, so nothing raced in) is dropped along with its journal
 // — its durability obligation moved with it.
 func (s *Server) CommitMigration(id string) {
-	s.smu.Lock()
-	sess, ok := s.sessions[id]
-	if ok {
-		delete(s.sessions, id)
-		s.tenants.addHot(sess.tenant, -1)
-	}
-	// Exports revive cold sessions, but clear any cold entry too so a
-	// racing page-out cannot leave a ghost behind.
-	if cold, wasCold := s.paged[id]; wasCold {
-		delete(s.paged, id)
-		s.tenants.addCold(cold.tenant, -1)
-	}
-	s.smu.Unlock()
-	if !ok {
+	// Exports revive cold sessions, but untrack clears any cold entry too
+	// so a racing page-out cannot leave a ghost behind.
+	sess, _ := s.untrack(id, nil, nil)
+	if sess == nil {
 		return
 	}
 	s.dropJournal(sess)
-	s.releaseSessionMem(sess)
 	s.metrics.sessionsMigratedOut.Add(1)
 }
 
@@ -155,64 +142,29 @@ func (s *Server) AdoptSession(id string, recs []wal.Record) error {
 	if s.HasSession(id) {
 		return nil
 	}
-	replayStart := time.Now()
-	rs := &sessionRestorer{srv: s}
-	for _, rec := range recs {
-		if err := rs.apply(rec); err != nil {
-			return fmt.Errorf("server: adopting session %s: %w", id, err)
+	sess, err := s.restore("migration", func(apply func(wal.Record) error) error {
+		for _, rec := range recs {
+			if err := apply(rec); err != nil {
+				return err
+			}
 		}
-	}
-	if rs.sess == nil {
-		return fmt.Errorf("server: adopting session %s: no meta or snapshot record", id)
-	}
-	if rs.sess.id != id {
-		return fmt.Errorf("server: adopting session %s: records describe session %s", id, rs.sess.id)
-	}
-	rs.finish()
-	// Attribute the adoption replay. A standby promotion replays batch
-	// records the dead owner replicated here, so the span carries the
-	// originating trace id those batches arrived under — the link that
-	// lets a merged timeline show recovery under the client's trace. A
-	// migration handoff is a single snapshot record (no batches).
-	kind := "migration"
-	if rs.replayed > 0 {
-		kind = "promotion"
-	}
-	spanTrace := kind
-	if rs.lastTrace != "" {
-		spanTrace = rs.lastTrace
-	}
-	replayDur := time.Since(replayStart)
-	s.metrics.observeStage(obs.StageWALReplay, replayDur)
-	s.tracer.Record(rs.sess.shard, obs.Span{
-		Trace: spanTrace, Session: id, Stage: obs.StageWALReplay,
-		Kind: kind, Start: replayStart, Dur: replayDur, Ticks: rs.replayTicks,
-		Note: fmt.Sprintf("adopted: replayed %d batches", rs.replayed),
+		return nil
 	})
-	sess := rs.sess
+	switch {
+	case err != nil:
+		return fmt.Errorf("server: adopting session %s: %w", id, err)
+	case sess == nil:
+		return fmt.Errorf("server: adopting session %s: no meta or snapshot record", id)
+	case sess.id != id:
+		return fmt.Errorf("server: adopting session %s: records describe session %s", id, sess.id)
+	}
 	if s.wal != nil {
 		if err := s.wal.Remove(id); err != nil {
 			return fmt.Errorf("server: adopting session %s: clearing stale journal: %w", id, err)
 		}
-		j, err := s.wal.OpenJournal(id, func(wal.Record) error {
-			return fmt.Errorf("journal for adopted session %s is not empty", id)
-		})
-		if err != nil {
+		if err := s.openFreshJournal(sess, recSnapshot, buildSnapshotRecord(sess)); err != nil {
 			return fmt.Errorf("server: adopting session %s: %w", id, err)
 		}
-		payload, err := json.Marshal(buildSnapshotRecord(sess))
-		if err == nil {
-			err = j.Append(recSnapshot, payload)
-		}
-		if err == nil {
-			err = j.Sync()
-		}
-		if err != nil {
-			j.Abandon()
-			return fmt.Errorf("server: adopting session %s: %w", id, err)
-		}
-		sess.jrnl = j
-		sess.journaled.Store(true)
 	}
 	s.trackLive(sess)
 	s.metrics.sessionsMigratedIn.Add(1)

@@ -42,6 +42,16 @@ type pagedSession struct {
 	lastActive int64 // unix nanos at page-out, for LRU ordering
 }
 
+// newPagedSession builds the cold entry of the session meta describes,
+// paged now and last active at lastActive (unix nanos).
+func newPagedSession(meta *sessionMetaJSON, shard int, lastActive int64) *pagedSession {
+	p := &pagedSession{id: meta.ID, tenant: meta.tenant(), mode: meta.Mode, shard: shard, pagedAt: time.Now(), lastActive: lastActive}
+	for _, sp := range meta.Specs {
+		p.specs = append(p.specs, sp.Name)
+	}
+	return p
+}
+
 func (p *pagedSession) info() SessionInfoJSON {
 	return SessionInfoJSON{
 		ID:        p.id,
@@ -89,15 +99,50 @@ func (s *Server) MemUsed() int64 { return s.memUsed.Load() }
 
 // --- lifecycle transitions ----------------------------------------------
 
-// trackLive registers a session in the hot table and its tenant's hot
-// count, and charges its footprint. All hot/cold transitions mutate the
-// tenant counters under smu, which is what keeps them consistent.
+// trackLive registers a session in the hot table, taking the place of
+// its cold entry if it has one (revival), and charges its footprint. All
+// hot/cold transitions mutate the tenant counters under smu, which is
+// what keeps them consistent.
 func (s *Server) trackLive(sess *session) {
 	s.smu.Lock()
+	if cold, ok := s.paged[sess.id]; ok {
+		delete(s.paged, sess.id)
+		s.tenants.addCold(cold.tenant, -1)
+	}
 	s.sessions[sess.id] = sess
 	s.tenants.addHot(sess.tenant, 1)
 	s.smu.Unlock()
 	s.chargeSessionMem(sess)
+}
+
+// untrack takes a session out of the hot table and returns its memory
+// charge: the entry of id, or only sess when sess is non-nil. A non-nil
+// park becomes the id's cold entry (page-out); a nil park drops any cold
+// entry of the id as well (the session leaves the node). It returns the
+// hot session removed (nil if none) and whether a cold entry was
+// dropped.
+func (s *Server) untrack(id string, sess *session, park *pagedSession) (*session, bool) {
+	s.smu.Lock()
+	hot, ok := s.sessions[id]
+	if ok && (sess == nil || hot == sess) {
+		delete(s.sessions, id)
+		s.tenants.addHot(hot.tenant, -1)
+	} else {
+		hot = nil
+	}
+	cold, wasCold := s.paged[id]
+	if park == nil && wasCold {
+		delete(s.paged, id)
+		s.tenants.addCold(cold.tenant, -1)
+	} else if park != nil && hot != nil {
+		s.paged[id] = park
+		s.tenants.addCold(park.tenant, 1)
+	}
+	s.smu.Unlock()
+	if hot != nil {
+		s.releaseSessionMem(hot)
+	}
+	return hot, wasCold
 }
 
 // liveSessions snapshots the hot table.
@@ -154,39 +199,17 @@ func (s *Server) pageOutSession(sess *session) error {
 		s.metrics.walErrors.Add(1)
 		return err
 	}
-	cold := &pagedSession{
-		id:         sess.id,
-		tenant:     sess.tenant,
-		mode:       modeString(sess.mode),
-		shard:      sess.shard,
-		pagedAt:    time.Now(),
-		lastActive: sess.lastActive.Load(),
-	}
-	sess.mu.Lock()
-	for _, sm := range sess.mons {
-		cold.specs = append(cold.specs, sm.spec)
-	}
-	sess.mu.Unlock()
 	sess.pagedOut = true
 	_ = sess.jrnl.Close()
 	sess.jrnl = nil
 	sess.journaled.Store(false)
-	s.smu.Lock()
-	if cur, ok := s.sessions[sess.id]; !ok || cur != sess {
+	if hot, _ := s.untrack(sess.id, sess, newPagedSession(&sess.meta, sess.shard, sess.lastActive.Load())); hot == nil {
 		// Deleted concurrently (DELETE removes from the hot table before
 		// taking ingestMu): honor the delete — drop the journal files we
 		// just checkpointed instead of resurrecting the session cold.
-		s.smu.Unlock()
 		_ = s.wal.Remove(sess.id)
-		s.releaseSessionMem(sess)
 		return nil
 	}
-	delete(s.sessions, sess.id)
-	s.paged[sess.id] = cold
-	s.tenants.addHot(sess.tenant, -1)
-	s.tenants.addCold(sess.tenant, 1)
-	s.smu.Unlock()
-	s.releaseSessionMem(sess)
 	s.metrics.sessionsPaged.Add(1)
 	return nil
 }
@@ -212,7 +235,7 @@ func (s *Server) reviveSession(id string) (*session, error) {
 		return sess, nil
 	}
 	s.smu.RLock()
-	cold, ok := s.paged[id]
+	_, ok := s.paged[id]
 	s.smu.RUnlock()
 	if !ok {
 		return nil, ErrNoSession
@@ -222,25 +245,13 @@ func (s *Server) reviveSession(id string) (*session, error) {
 		return nil, fmt.Errorf("server: reviving session %s: %w", id, err)
 	}
 	if sess == nil {
-		// Journal vanished or held no meta — the cold entry is stale.
-		s.smu.Lock()
-		if _, still := s.paged[id]; still {
-			delete(s.paged, id)
-			s.tenants.addCold(cold.tenant, -1)
-		}
-		s.smu.Unlock()
+		// Journal vanished or held no meta — the cold entry is stale. The
+		// id has no hot entry: under reviveMu only a revival makes it hot.
+		s.untrack(id, nil, nil)
 		return nil, ErrNoSession
 	}
 	sess.touch()
-	s.smu.Lock()
-	if _, still := s.paged[id]; still {
-		delete(s.paged, id)
-		s.tenants.addCold(sess.tenant, -1)
-	}
-	s.sessions[id] = sess
-	s.tenants.addHot(sess.tenant, 1)
-	s.smu.Unlock()
-	s.chargeSessionMem(sess)
+	s.trackLive(sess)
 	s.metrics.sessionsRevived.Add(1)
 	// Fairness and budget both react to the new hot resident.
 	s.enforceHotLimit(sess.tenant, sess)
@@ -391,16 +402,9 @@ func (s *Server) pageColdest(target int64, forced bool) {
 // pre-paging eviction semantics, now counted as a deletion because the
 // state really is gone.
 func (s *Server) evictSession(sess *session) {
-	s.smu.Lock()
-	if cur, ok := s.sessions[sess.id]; !ok || cur != sess {
-		s.smu.Unlock()
-		return
+	if hot, _ := s.untrack(sess.id, sess, nil); hot != nil {
+		s.metrics.sessionsDeleted.Add(1)
 	}
-	delete(s.sessions, sess.id)
-	s.tenants.addHot(sess.tenant, -1)
-	s.smu.Unlock()
-	s.releaseSessionMem(sess)
-	s.metrics.sessionsDeleted.Add(1)
 }
 
 // --- cold start ----------------------------------------------------------
@@ -428,26 +432,10 @@ func (s *Server) registerColdSessions() error {
 			}
 			continue
 		}
-		tenant := meta.Tenant
-		if tenant == "" {
-			tenant = fallbackTenant(meta.ID)
-		}
-		specs := make([]string, 0, len(meta.Specs))
-		for _, sp := range meta.Specs {
-			specs = append(specs, sp.Name)
-		}
-		cold := &pagedSession{
-			id:         id,
-			tenant:     tenant,
-			mode:       meta.Mode,
-			specs:      specs,
-			shard:      shardFor(id, len(s.shards)),
-			pagedAt:    time.Now(),
-			lastActive: time.Now().UnixNano(),
-		}
+		cold := newPagedSession(meta, shardFor(id, len(s.shards)), time.Now().UnixNano())
 		s.smu.Lock()
 		s.paged[id] = cold
-		s.tenants.addCold(tenant, 1)
+		s.tenants.addCold(cold.tenant, 1)
 		s.smu.Unlock()
 		s.metrics.sessionsRecovered.Add(1)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/monitor"
 	"repro/internal/ocp"
 	"repro/internal/parser"
 	"repro/internal/trace"
@@ -465,5 +466,115 @@ func TestRecoveryFromV2Snapshot(t *testing.T) {
 	streamTicks(t, ts2.URL, sess.ID, tr[300:], 32)
 	if got := monitorsJSON(t, ts2.URL, sess.ID); string(got) != string(want) {
 		t.Fatalf("recovery from v2-format snapshot diverged:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestRecoveredSessionsShareCompiledSpec checks that a spec source is
+// compiled once per daemon, however its sessions come back: recovered
+// at startup, revived after a page-out, or adopted from another node,
+// every session of one source runs on the same monitor, and the spec
+// load that follows recovery reuses it too.
+func TestRecoveredSessionsShareCompiledSpec(t *testing.T) {
+	tr := ocp.NewModel(ocp.Config{Gap: 2, Seed: 7, FaultRate: 0.2}).GenerateTrace(40)
+	cfg := Config{Shards: 2, QueueDepth: 8, SnapshotEvery: 3}
+	dir := t.TempDir()
+	s1, ts1 := newWALServer(t, dir, cfg)
+	var ids []string
+	for i := 0; i < 3; i++ {
+		sess := createSession(t, ts1.URL, "assert", "OcpSimpleRead")
+		streamTicks(t, ts1.URL, sess.ID, tr, 8)
+		ids = append(ids, sess.ID)
+	}
+	s1.Crash()
+	ts1.Close()
+
+	// A peer with its own compile of the same source exports a session.
+	peer, peerTS := newTestServer(t, Config{Shards: 1})
+	moved := createSession(t, peerTS.URL, "assert", "OcpSimpleRead")
+	streamTicks(t, peerTS.URL, moved.ID, tr, 8)
+	payload, err := peer.ExportSession(moved.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// newWALServer recovers first and loads its specs after, as cescd does.
+	s2, _ := newWALServer(t, dir, cfg)
+	monitorOf := func(id string) *monitor.Monitor {
+		t.Helper()
+		sess, err := s2.fetchSession(id)
+		if err != nil {
+			t.Fatalf("session %s: %v", id, err)
+		}
+		return sess.mons[0].eng.Monitor()
+	}
+	want := monitorOf(ids[0])
+	if got := monitorOf(ids[1]); got != want {
+		t.Errorf("two recovered sessions of one source run on different monitors")
+	}
+	if err := s2.PageOutSession(ids[2]); err != nil {
+		t.Fatal(err)
+	}
+	if got := monitorOf(ids[2]); got != want {
+		t.Errorf("revived session runs on a monitor of its own")
+	}
+	if err := s2.AdoptSession(moved.ID, []wal.Record{{Kind: recSnapshot, Payload: payload}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := monitorOf(moved.ID); got != want {
+		t.Errorf("adopted session runs on a monitor of its own")
+	}
+	if sp, ok := s2.specs.Get("OcpSimpleRead"); !ok || sp.mon != want {
+		t.Errorf("spec loaded after recovery was compiled again")
+	}
+}
+
+// TestReplacedSpecRecoversAsJournaled replaces a spec under a live
+// session: the session keeps the chart it was created on, and after a
+// crash it must come back on that chart, not on the one now loaded
+// under its name, which GET /specs alone lists.
+func TestReplacedSpecRecoversAsJournaled(t *testing.T) {
+	tr := ocp.NewModel(ocp.Config{Gap: 2, Seed: 3, FaultRate: 0.2}).GenerateTrace(120)
+	cfg := Config{Shards: 2, QueueDepth: 8, SnapshotEvery: 4}
+	dir := t.TempDir()
+	s1, ts1 := newWALServer(t, dir, cfg)
+	old := createSession(t, ts1.URL, "assert", "OcpSimpleRead")
+	replacement := parser.Print("OcpSimpleRead", ocp.BurstReadChart())
+	doJSON(t, "POST", ts1.URL+"/specs?replace=1", []byte(replacement), http.StatusCreated, nil)
+	replaced := createSession(t, ts1.URL, "assert", "OcpSimpleRead")
+	streamTicks(t, ts1.URL, old.ID, tr, 16)
+	streamTicks(t, ts1.URL, replaced.ID, tr, 16)
+	want := monitorsJSON(t, ts1.URL, old.ID)
+	if string(want) == string(monitorsJSON(t, ts1.URL, replaced.ID)) {
+		t.Fatal("the replacement chart gives the same verdicts; the test shows nothing")
+	}
+	var listed struct{ Specs []*Spec }
+	doJSON(t, "GET", ts1.URL+"/specs", nil, http.StatusOK, &listed)
+	var wantSpec *Spec
+	for _, sp := range listed.Specs {
+		if sp.Name == "OcpSimpleRead" {
+			wantSpec = sp
+		}
+	}
+	s1.Crash()
+	ts1.Close()
+
+	cfg.WALDir = dir
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s2.Close)
+	if _, err := s2.LoadSpecSource(replacement); err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	t.Cleanup(ts2.Close)
+	if got := monitorsJSON(t, ts2.URL, old.ID); string(got) != string(want) {
+		t.Fatalf("session recovered on another chart than it journaled:\n got %s\nwant %s", got, want)
+	}
+	listed.Specs = nil
+	doJSON(t, "GET", ts2.URL+"/specs", nil, http.StatusOK, &listed)
+	if len(listed.Specs) != 1 || *listed.Specs[0] != *wantSpec {
+		t.Fatalf("GET /specs after recovery = %+v, want only %+v", listed.Specs, wantSpec)
 	}
 }

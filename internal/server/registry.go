@@ -11,10 +11,10 @@ import (
 	"repro/internal/synth"
 )
 
-// Spec is one loaded chart: the synthesized monitor plus compile-time
+// Spec is one compiled chart: the synthesized monitor plus compile-time
 // facts reported by GET /specs. Multi-clock (async) charts are loaded
-// and listed but cannot back sessions yet; they are the next ingest
-// backend on the roadmap.
+// and listed but cannot back sessions; a session streams one clock
+// domain.
 type Spec struct {
 	Name        string `json:"name"`
 	Source      string `json:"-"`
@@ -38,27 +38,65 @@ type Spec struct {
 	compiled *synth.CompiledSpec
 }
 
-// registry holds the loaded specs; hot-loading via POST /specs appends
-// under the lock, sessions resolve names at creation time.
+// registry is the one place a chart is compiled. specs holds the loaded
+// specs: what GET /specs lists and POST /sessions resolves; hot-loading
+// via POST /specs swaps entries under the lock. bySource holds every
+// spec ever compiled, keyed by printed source (which names the chart),
+// so a source is synthesized once however many times it is loaded or
+// journaled: every session of it, live or rebuilt from a journal, shares
+// one artifact. A journaled source that no longer matches the loaded one
+// (its name was replaced) keeps an artifact of its own there, never
+// listed. bySource does not shrink: an artifact lives as long as the
+// daemon, the price of never compiling a source twice.
 type registry struct {
-	mu    sync.RWMutex
-	specs map[string]*Spec
+	mu       sync.RWMutex
+	specs    map[string]*Spec
+	bySource map[string]*Spec
 }
 
 func newRegistry() *registry {
-	return &registry{specs: make(map[string]*Spec)}
+	return &registry{specs: make(map[string]*Spec), bySource: make(map[string]*Spec)}
 }
 
-// compileChart synthesizes one chart into a Spec. A panic anywhere in
+// compileChart returns the spec of one chart, synthesizing it only when
+// its printed source has not been compiled before. A panic anywhere in
 // synthesis is converted to an error so a malformed hot-load can never
 // take the daemon (or the serving registry) down with it.
-func compileChart(name string, c chart.Chart) (sp *Spec, err error) {
+func (r *registry) compileChart(name string, c chart.Chart) (*Spec, error) {
+	src := parser.Print(name, c)
+	if sp := r.cached(src); sp != nil {
+		return sp, nil
+	}
+	sp, err := synthesizeChart(name, src, c)
+	if err != nil {
+		return nil, err
+	}
+	// Two compiles of one source may race; the first stored wins, so
+	// every caller gets the same artifact.
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if prev, ok := r.bySource[src]; ok {
+		return prev, nil
+	}
+	r.bySource[src] = sp
+	return sp, nil
+}
+
+func (r *registry) cached(src string) *Spec {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.bySource[src]
+}
+
+// synthesizeChart builds the monitor, guard programs and shared table of
+// one chart whose printed source is src.
+func synthesizeChart(name, src string, c chart.Chart) (sp *Spec, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("server: chart %q: synthesis panic: %v", name, r)
 		}
 	}()
-	sp = &Spec{Name: name, Source: parser.Print(name, c)}
+	sp = &Spec{Name: name, Source: src}
 	if _, ok := c.(*chart.Async); ok {
 		sp.MultiClock = true
 		return sp, nil
@@ -85,16 +123,15 @@ func compileChart(name string, c chart.Chart) (sp *Spec, err error) {
 	return sp, nil
 }
 
-// compileSource parses and synthesizes .cesc source without touching any
-// registry — the shared compile path of hot-loading and WAL recovery.
-func compileSource(src string) ([]*Spec, error) {
+// compileSource parses .cesc source and compiles each of its charts.
+func (r *registry) compileSource(src string) ([]*Spec, error) {
 	f, err := parser.Parse(src)
 	if err != nil {
 		return nil, err
 	}
 	specs := make([]*Spec, 0, len(f.Charts))
 	for _, n := range f.Charts {
-		sp, err := compileChart(n.Name, n.Chart)
+		sp, err := r.compileChart(n.Name, n.Chart)
 		if err != nil {
 			return nil, err
 		}
@@ -103,10 +140,14 @@ func compileSource(src string) ([]*Spec, error) {
 	return specs, nil
 }
 
-// compileSingleSpec rebuilds one journaled spec from its printed source
-// (the WAL recovery path).
-func compileSingleSpec(name, src string) (*Spec, error) {
-	specs, err := compileSource(src)
+// resolve returns the spec of one journaled chart, compiling its source
+// only if no session or load has compiled it before. It leaves the
+// loaded specs alone: a journal never changes what GET /specs lists.
+func (r *registry) resolve(name, src string) (*Spec, error) {
+	if sp := r.cached(src); sp != nil {
+		return sp, nil
+	}
+	specs, err := r.compileSource(src)
 	if err != nil {
 		return nil, err
 	}
@@ -116,13 +157,13 @@ func compileSingleSpec(name, src string) (*Spec, error) {
 	return specs[0], nil
 }
 
-// LoadSource parses .cesc source text, synthesizes a monitor per chart,
-// and registers the results — swap-on-success: the registry is only
+// LoadSource parses .cesc source text, compiles each chart, and
+// registers the results — swap-on-success: the loaded specs are only
 // touched after the entire batch has compiled, so a malformed POST
 // leaves every previously loaded version serving. Name collisions are
 // rejected unless replace is set. Returns the registered spec names.
 func (r *registry) LoadSource(src string, replace bool) ([]string, error) {
-	specs, err := compileSource(src)
+	specs, err := r.compileSource(src)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +192,7 @@ func (r *registry) Get(name string) (*Spec, bool) {
 	return sp, ok
 }
 
-// List returns all specs sorted by name.
+// List returns all loaded specs sorted by name.
 func (r *registry) List() []*Spec {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -363,34 +363,20 @@ func (s *Server) Metrics() MetricsSnapshot {
 // Close drains: no new batches are accepted, shard queues are closed,
 // every already-accepted batch is processed, and session journals are
 // synced shut before Close returns.
-func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		s.qmu.Lock()
-		s.draining = true
-		for _, sh := range s.shards {
-			close(sh.queue)
-		}
-		s.qmu.Unlock()
-		close(s.stopSweep)
-		s.wg.Wait()
-		s.janitorWG.Wait()
-		s.smu.Lock()
-		for _, sess := range s.sessions {
-			if sess.jrnl != nil {
-				_ = sess.jrnl.Close()
-			}
-		}
-		s.smu.Unlock()
-	})
-}
+func (s *Server) Close() { s.shutdown(false) }
 
 // Crash simulates a power cut for recovery tests: handlers start
 // refusing work, queued batches are discarded unprocessed, and journals
 // are abandoned without a final sync — whatever the WAL already holds is
 // all a restarted server gets. The in-memory session table is dropped.
-func (s *Server) Crash() {
+func (s *Server) Crash() { s.shutdown(true) }
+
+// shutdown is Close and Crash: stop accepting, close the shard queues,
+// wait out the workers and the janitor, then close (or, crashing,
+// abandon) every hot session's journal.
+func (s *Server) shutdown(crash bool) {
 	s.closeOnce.Do(func() {
-		s.crashed.Store(true)
+		s.crashed.Store(crash)
 		s.qmu.Lock()
 		s.draining = true
 		for _, sh := range s.shards {
@@ -402,11 +388,17 @@ func (s *Server) Crash() {
 		s.janitorWG.Wait()
 		s.smu.Lock()
 		for _, sess := range s.sessions {
-			if sess.jrnl != nil {
+			switch {
+			case sess.jrnl == nil:
+			case crash:
 				sess.jrnl.Abandon()
+			default:
+				_ = sess.jrnl.Close()
 			}
 		}
-		s.sessions = make(map[string]*session)
+		if crash {
+			s.sessions = make(map[string]*session)
+		}
 		s.smu.Unlock()
 	})
 }
@@ -434,6 +426,23 @@ func (s *Server) session(id string) (*session, bool) {
 	defer s.smu.RUnlock()
 	sess, ok := s.sessions[id]
 	return sess, ok
+}
+
+// requestSession resolves the request's {id} to a hot session, reviving
+// a cold one, and marks it active; it answers 404 or 500 itself and
+// returns false when there is none.
+func (s *Server) requestSession(w http.ResponseWriter, r *http.Request) (*session, bool) {
+	sess, err := s.fetchSession(r.PathValue("id"))
+	switch {
+	case errors.Is(err, ErrNoSession):
+		WriteError(w, http.StatusNotFound, "no such session")
+		return nil, false
+	case err != nil:
+		WriteError(w, http.StatusInternalServerError, "%v", err)
+		return nil, false
+	}
+	sess.touch()
+	return sess, true
 }
 
 // --- HTTP API -----------------------------------------------------------
@@ -547,16 +556,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // grid line, fired (or candidate) guards, and packed valuation — the
 // same fields every execution tier emits identically.
 func (s *Server) handleDiagnostics(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.fetchSession(r.PathValue("id"))
-	if err != nil {
-		if errors.Is(err, ErrNoSession) {
-			WriteError(w, http.StatusNotFound, "no such session")
-		} else {
-			WriteError(w, http.StatusInternalServerError, "%v", err)
-		}
+	sess, ok := s.requestSession(w, r)
+	if !ok {
 		return
 	}
-	sess.touch()
 	start := time.Now()
 	body := sess.diagnostics()
 	s.metrics.observeStage(obs.StageVerdict, time.Since(start))
@@ -706,10 +709,16 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	sess := newSession(id, mode, shardFor(id, len(s.shards)), specs, s.cfg.Faults, req.DiagDepth)
 	sess.tenant = tenantKey
+	// The meta travels in every snapshot: a checkpoint, a page-out, an
+	// export to another node.
+	sess.meta = sessionMetaJSON{ID: id, Mode: modeString(mode), Created: sess.created, DiagDepth: req.DiagDepth, Tenant: tenantKey}
+	for _, sp := range specs {
+		sess.meta.Specs = append(sess.meta.Specs, specSourceJSON{Name: sp.Name, Source: sp.Source})
+	}
 	if s.wal != nil {
 		// The meta record must be durable before the id is handed out:
 		// a session the client knows about must survive a crash.
-		if err := s.journalCreate(sess, specs); err != nil {
+		if err := s.openFreshJournal(sess, recMeta, sess.meta); err != nil {
 			s.metrics.walErrors.Add(1)
 			WriteError(w, http.StatusInternalServerError, "journal: %v", err)
 			return
@@ -786,24 +795,12 @@ func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 // in-flight page-out of the same session.
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.smu.Lock()
-	sess, hot := s.sessions[id]
-	if hot {
-		delete(s.sessions, id)
-		s.tenants.addHot(sess.tenant, -1)
-	}
-	cold, wasCold := s.paged[id]
-	if wasCold {
-		delete(s.paged, id)
-		s.tenants.addCold(cold.tenant, -1)
-	}
-	s.smu.Unlock()
+	sess, wasCold := s.untrack(id, nil, nil)
 	switch {
-	case hot:
+	case sess != nil:
 		sess.ingestMu.Lock()
 		s.dropJournal(sess)
 		sess.ingestMu.Unlock()
-		s.releaseSessionMem(sess)
 	case wasCold:
 		if s.wal != nil {
 			_ = s.wal.Remove(id)
@@ -928,16 +925,10 @@ func ReadBody(body io.Reader, declared int64) ([]byte, error) {
 func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	ingestStart := time.Now()
 	rc := ArmBodyDeadline(w)
-	sess, err := s.fetchSession(r.PathValue("id"))
-	if err != nil {
-		if errors.Is(err, ErrNoSession) {
-			WriteError(w, http.StatusNotFound, "no such session")
-		} else {
-			WriteError(w, http.StatusInternalServerError, "%v", err)
-		}
+	sess, ok := s.requestSession(w, r)
+	if !ok {
 		return
 	}
-	sess.touch()
 	// The trace id correlates this batch's spans across pipeline stages.
 	// Clients propagate their own via X-Cesc-Trace; otherwise the server
 	// assigns one (only when tracing is on — the id is echoed back either
@@ -1024,90 +1015,37 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		s.logShed("wait", traceID, sess.id)
 	}
 
-	sess.ingestMu.Lock()
-	if sess.pagedOut {
+	if wait {
+		b.done = make(chan struct{})
+	}
+	switch err := s.accept(sess, b, seq, s.tryEnqueue); err {
+	case nil:
+	case errDuplicate:
+		writeAck(w, http.StatusOK, ackJSON{Seq: seq, Duplicate: true})
+		return
+	case errPagedOut:
 		// Raced a page-out while holding a stale pointer: the retry
 		// resolves the ID again and revives the session.
-		sess.ingestMu.Unlock()
 		w.Header().Set("Retry-After", "1")
 		WriteError(w, http.StatusConflict, "session %s was paged out; retry", sess.id)
 		return
-	}
-	if sess.frozen {
-		sess.ingestMu.Unlock()
+	case errMigrating:
 		w.Header().Set("Retry-After", "1")
 		WriteError(w, http.StatusConflict, "session %s is migrating to a new owner; retry", sess.id)
 		return
-	}
-	if seq > 0 && seq <= sess.lastSeq {
-		sess.ingestMu.Unlock()
-		s.metrics.batchesDeduped.Add(1)
-		writeAck(w, http.StatusOK, ackJSON{Seq: seq, Duplicate: true})
-		return
-	}
-	snapDue := false
-	if sess.jrnl != nil {
-		b.jseq = sess.walSeq + 1
-		snapDue = s.cfg.SnapshotEvery > 0 && b.jseq%uint64(s.cfg.SnapshotEvery) == 0
-	}
-	if wait || snapDue {
-		b.done = make(chan struct{})
-	}
-	enqStart := time.Now()
-	switch err := s.tryEnqueue(b); err {
-	case nil:
-		enqDur := time.Since(enqStart)
-		s.metrics.observeStage(obs.StageEnqueue, enqDur)
-		s.tracer.Record(sess.shard, obs.Span{
-			Trace: traceID, Session: sess.id, Stage: obs.StageEnqueue,
-			Start: enqStart, Dur: enqDur, Ticks: nticks,
-		})
 	case errQueueFull:
-		sess.ingestMu.Unlock()
-		s.metrics.rejectedTotal.Add(1)
-		s.tracer.Record(sess.shard, obs.Span{
-			Trace: traceID, Session: sess.id, Stage: obs.StageEnqueue,
-			Start: enqStart, Dur: time.Since(enqStart), Ticks: nticks, Note: "queue full",
-		})
 		w.Header().Set("Retry-After", "1")
 		WriteError(w, http.StatusTooManyRequests, "shard %d queue full", sess.shard)
 		return
-	default:
-		sess.ingestMu.Unlock()
+	case errDraining:
 		WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
+	default:
+		// The batch is applied in memory but not durable; 500 asks the
+		// client to retry, and the retry is deduped.
+		WriteError(w, http.StatusInternalServerError, "journal append: %v", err)
+		return
 	}
-	// The batch is accepted: advance the dedup watermark now, so a
-	// client retry after a lost response (or a failed journal append)
-	// never double-applies.
-	if seq > 0 {
-		sess.lastSeq = seq
-	}
-	if sess.jrnl != nil {
-		sess.walSeq = b.jseq
-		if err := s.journalBatch(sess, b, seq); err != nil {
-			sess.ingestMu.Unlock()
-			s.metrics.walErrors.Add(1)
-			// The batch is applied in memory but not durable; 500 asks
-			// the client to retry, and the retry is deduped above.
-			WriteError(w, http.StatusInternalServerError, "journal append: %v", err)
-			return
-		}
-	}
-	if snapDue {
-		// Snapshot barrier: wait (still under ingestMu, so no later
-		// batch can be accepted meanwhile) until the worker has applied
-		// this batch, then checkpoint — appliedJSeq now covers every
-		// journaled record, making it safe for the checkpoint to prune
-		// all older segments.
-		<-b.done
-		if err := s.snapshotSession(sess); err != nil {
-			// Non-fatal: the journal tail still reconstructs the
-			// session, recovery just replays more.
-			s.metrics.walErrors.Add(1)
-		}
-	}
-	sess.ingestMu.Unlock()
 	if err := s.cfg.Faults.Hit("server.ingest.respond"); err != nil {
 		// Simulated response-path failure after the batch was accepted:
 		// the client sees an error and retries a batch the server has
@@ -1139,6 +1077,84 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	}
 	s.recordIngest(sess, traceID, parent, ingestKind, ingestStart, nticks)
 	writeAck(w, http.StatusAccepted, ack)
+}
+
+// errDuplicate is accept's answer to a batch whose ?seq the session has
+// already accepted: acknowledged as a duplicate, not applied again.
+var errDuplicate = errors.New("server: duplicate batch")
+
+// accept is the one accept path of a batch: an NDJSON body (enqueue is
+// tryEnqueue) or a VCD chunk (enqueueWait, seq 0). Under the session's
+// ingestMu, so duplicate detection, queue order and journal order agree,
+// it refuses a paged-out or frozen session, dedups by seq, enqueues,
+// advances the dedup watermark and journals the batch; when the batch
+// makes a snapshot due it waits for the worker to apply it and
+// checkpoints. A caller that will wait for the batch makes b.done
+// first; accept makes it only for a snapshot. The error is errPagedOut,
+// errMigrating, errDuplicate, enqueue's, or the journal append's — after
+// which the batch is applied but not durable.
+func (s *Server) accept(sess *session, b *batch, seq uint64, enqueue func(*batch) error) error {
+	sess.ingestMu.Lock()
+	defer sess.ingestMu.Unlock()
+	switch {
+	case sess.pagedOut:
+		return errPagedOut
+	case sess.frozen:
+		return errMigrating
+	case seq > 0 && seq <= sess.lastSeq:
+		s.metrics.batchesDeduped.Add(1)
+		return errDuplicate
+	}
+	snapDue := false
+	if sess.jrnl != nil {
+		b.jseq = sess.walSeq + 1
+		snapDue = s.cfg.SnapshotEvery > 0 && b.jseq%uint64(s.cfg.SnapshotEvery) == 0
+	}
+	if snapDue && b.done == nil {
+		b.done = make(chan struct{})
+	}
+	start := time.Now()
+	span := obs.Span{Trace: b.trace, Session: sess.id, Stage: obs.StageEnqueue, Start: start, Ticks: b.packed.Len()}
+	switch err := enqueue(b); err {
+	case nil:
+		span.Dur = time.Since(start)
+		s.metrics.observeStage(obs.StageEnqueue, span.Dur)
+		s.tracer.Record(sess.shard, span)
+	case errQueueFull:
+		span.Dur, span.Note = time.Since(start), "queue full"
+		s.metrics.rejectedTotal.Add(1)
+		s.tracer.Record(sess.shard, span)
+		return err
+	default:
+		return err
+	}
+	// The batch is accepted: advance the dedup watermark now, so a
+	// client retry after a lost response (or a failed journal append)
+	// never double-applies.
+	if seq > 0 {
+		sess.lastSeq = seq
+	}
+	if sess.jrnl == nil {
+		return nil
+	}
+	sess.walSeq = b.jseq
+	if err := s.journalBatch(sess, b, seq); err != nil {
+		s.metrics.walErrors.Add(1)
+		return err
+	}
+	if snapDue {
+		// Snapshot barrier: wait (still under ingestMu, so no later batch
+		// can be accepted meanwhile) until the worker has applied this
+		// batch, then checkpoint — appliedJSeq now covers every journaled
+		// record, making it safe for the checkpoint to prune all older
+		// segments. A failure is not fatal: the journal tail still
+		// reconstructs the session, recovery just replays more.
+		<-b.done
+		if err := s.snapshotSession(sess); err != nil {
+			s.metrics.walErrors.Add(1)
+		}
+	}
+	return nil
 }
 
 // recordIngest closes the whole-request span of one accepted tick batch.
@@ -1188,16 +1204,10 @@ const vcdChunkTicks = 256
 // never by dropping mid-stream.
 func (s *Server) handleVCD(w http.ResponseWriter, r *http.Request) {
 	rc := ArmBodyDeadline(w)
-	sess, err := s.fetchSession(r.PathValue("id"))
-	if err != nil {
-		if errors.Is(err, ErrNoSession) {
-			WriteError(w, http.StatusNotFound, "no such session")
-		} else {
-			WriteError(w, http.StatusInternalServerError, "%v", err)
-		}
+	sess, ok := s.requestSession(w, r)
+	if !ok {
 		return
 	}
-	sess.touch()
 	props := make(map[string]bool)
 	if p := r.URL.Query().Get("props"); p != "" {
 		for _, n := range strings.Split(p, ",") {
@@ -1221,58 +1231,23 @@ func (s *Server) handleVCD(w http.ResponseWriter, r *http.Request) {
 		if n == 0 {
 			return nil
 		}
-		b := &batch{
-			sess:     sess,
-			packed:   chunk,
-			raw:      raw,
-			enqueued: time.Now(),
-			done:     make(chan struct{}),
-		}
 		// The VCD path applies backpressure by blocking, so the tick
 		// quota is charged with force: the upload never fails mid-stream
 		// on quota, it drives the bucket into debt and the tenant's
 		// subsequent batches absorb the throttling.
 		s.tenants.takeTicks(sess.tenant, n, true)
-		sess.ingestMu.Lock()
-		if sess.pagedOut {
-			sess.ingestMu.Unlock()
-			return errPagedOut
-		}
-		if sess.frozen {
-			sess.ingestMu.Unlock()
-			return errMigrating
-		}
-		snapDue := false
-		if sess.jrnl != nil {
-			b.jseq = sess.walSeq + 1
-			snapDue = s.cfg.SnapshotEvery > 0 && b.jseq%uint64(s.cfg.SnapshotEvery) == 0
-		}
-		if err := s.enqueueWait(b); err != nil {
-			sess.ingestMu.Unlock()
+		b := &batch{sess: sess, packed: chunk, raw: raw, enqueued: time.Now(), done: make(chan struct{})}
+		if err := s.accept(sess, b, 0, s.enqueueWait); err != nil {
 			return err
 		}
-		if sess.jrnl != nil {
-			sess.walSeq = b.jseq
-			if err := s.journalBatch(sess, b, 0); err != nil {
-				sess.ingestMu.Unlock()
-				s.metrics.walErrors.Add(1)
-				return err
-			}
-		}
 		<-b.done
-		if snapDue {
-			if err := s.snapshotSession(sess); err != nil {
-				s.metrics.walErrors.Add(1)
-			}
-		}
-		sess.ingestMu.Unlock()
 		total += n
 		raw = nil
 		chunk = new(event.PackedBatch)
 		chunk.Reset(sess.vocab.Len())
 		return nil
 	}
-	err = trace.StreamVCD(progressReader{r.Body, rc}, kindOf, func(st event.State) error {
+	err := trace.StreamVCD(progressReader{r.Body, rc}, kindOf, func(st event.State) error {
 		chunk.AppendState(sess.vocab, st)
 		raw = AppendTick(raw, stateJSON(st))
 		if chunk.Len() >= vcdChunkTicks {
@@ -1305,16 +1280,10 @@ func (s *Server) handleVCD(w http.ResponseWriter, r *http.Request) {
 // exactly what the checkpoint parked, so the response is byte-identical
 // to one from a session that never paged.
 func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.fetchSession(r.PathValue("id"))
-	if err != nil {
-		if errors.Is(err, ErrNoSession) {
-			WriteError(w, http.StatusNotFound, "no such session")
-		} else {
-			WriteError(w, http.StatusInternalServerError, "%v", err)
-		}
+	sess, ok := s.requestSession(w, r)
+	if !ok {
 		return
 	}
-	sess.touch()
 	start := time.Now()
 	body := sess.verdicts()
 	dur := time.Since(start)

@@ -22,7 +22,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -233,7 +232,11 @@ func (m *Manager) DiskUsage() (total int64, perSession map[string]int64, err err
 
 // Record is one framed journal entry.
 type Record struct {
-	Kind    byte
+	Kind byte
+	// Payload aliases the buffer the frame was read from (replay reads
+	// each segment into a buffer of its own and never reuses it). Its
+	// capacity ends with the frame, so an append to it copies instead of
+	// overwriting the next frame.
 	Payload []byte
 }
 
@@ -277,7 +280,8 @@ func segIndex(name string) (uint64, bool) {
 // OpenJournal opens (creating if absent) the journal for a session,
 // replaying every intact record through fn in append order. A torn tail
 // on the final segment is truncated; appends resume after the last
-// intact record. A non-nil error from fn aborts the open.
+// intact record. A non-nil error from fn aborts the open. Each record's
+// payload aliases its segment's read buffer, which is not reused.
 func (m *Manager) OpenJournal(id string, fn func(Record) error) (*Journal, error) {
 	dir := filepath.Join(m.opts.Dir, id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -385,8 +389,8 @@ func AppendFrame(dst []byte, kind byte, payload []byte) []byte {
 }
 
 // readFrame is the only frame parser. It reads the frame at the start
-// of b into a record with a freshly allocated payload and returns the
-// frame's size. It returns io.EOF when b is empty, errTorn when b ends
+// of b into a record whose payload is a sub-slice of b, capped at the
+// frame's end, and returns the frame's size. It returns io.EOF when b is empty, errTorn when b ends
 // inside the frame, and errTooLong or errCRC when the frame is corrupt;
 // each caller applies its own tail policy to these.
 func readFrame(b []byte) (Record, int, error) {
@@ -407,11 +411,11 @@ func readFrame(b []byte) (Record, int, error) {
 	if recordCRC(b[8], b[frameOverhead:end]) != binary.LittleEndian.Uint32(b[4:8]) {
 		return Record{}, 0, errCRC
 	}
-	return Record{Kind: b[8], Payload: bytes.Clone(b[frameOverhead:end])}, end, nil
+	return Record{Kind: b[8], Payload: b[frameOverhead:end:end]}, end, nil
 }
 
 // ReadFrames reads b as a sequence of whole frames and calls fn on each
-// record in order. It is strict: a torn or corrupt frame anywhere in b
+// record in order. Every payload aliases b, capped at its frame's end. It is strict: a torn or corrupt frame anywhere in b
 // is an error, as is an error from fn.
 func ReadFrames(b []byte, fn func(Record) error) error {
 	for off := 0; ; {

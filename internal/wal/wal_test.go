@@ -70,6 +70,52 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPayloadAppendKeepsNextRecord checks that replayed payloads, which
+// alias the read buffer, end at their own frame: appending to one during
+// replay (or through ReadFrames) leaves the record after it intact.
+func TestPayloadAppendKeepsNextRecord(t *testing.T) {
+	m := openManager(t, Options{})
+	j, _ := collect(t, m, "s1")
+	want := [][]byte{[]byte("first"), []byte("second"), []byte("third")}
+	var frames []byte
+	for _, p := range want {
+		if err := j.Append(1, p); err != nil {
+			t.Fatal(err)
+		}
+		frames = AppendFrame(frames, 1, p)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(read func(fn func(Record) error) error) {
+		t.Helper()
+		var got [][]byte
+		if err := read(func(rec Record) error {
+			got = append(got, rec.Payload)
+			_ = append(rec.Payload, "XXXXXXXXXXXXXXXX"...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("read %d records, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("record %d = %q, want %q", i, got[i], want[i])
+			}
+		}
+	}
+	check(func(fn func(Record) error) error {
+		j2, err := m.OpenJournal("s1", fn)
+		if err == nil {
+			j2.Abandon()
+		}
+		return err
+	})
+	check(func(fn func(Record) error) error { return ReadFrames(frames, fn) })
+}
+
 // TestSegmentRotation checks appends spill across segments and still
 // replay completely.
 func TestSegmentRotation(t *testing.T) {
