@@ -106,9 +106,9 @@ func (s *Server) ExportSession(id string) ([]byte, error) {
 // (still frozen, so nothing raced in) is dropped along with its journal
 // — its durability obligation moved with it.
 func (s *Server) CommitMigration(id string) {
-	// Exports revive cold sessions, but untrack clears any cold entry too
+	// Exports revive cold sessions, but forget clears any cold entry too
 	// so a racing page-out cannot leave a ghost behind.
-	sess, _ := s.untrack(id, nil, nil)
+	sess, _ := s.forget(id)
 	if sess == nil {
 		return
 	}

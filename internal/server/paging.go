@@ -115,31 +115,45 @@ func (s *Server) trackLive(sess *session) {
 	s.chargeSessionMem(sess)
 }
 
-// untrack takes a session out of the hot table and returns its memory
-// charge: the entry of id, or only sess when sess is non-nil. A non-nil
-// park becomes the id's cold entry (page-out); a nil park drops any cold
-// entry of the id as well (the session leaves the node). It returns the
-// hot session removed (nil if none) and whether a cold entry was
-// dropped.
-func (s *Server) untrack(id string, sess *session, park *pagedSession) (*session, bool) {
+// dropHot takes sess out of the hot table and returns its memory charge,
+// if sess is still the id's entry; a non-nil park becomes the id's cold
+// entry under the same lock (page-out). The cold table is otherwise left
+// alone: a stale pointer must never drop a session another path parked.
+// It reports whether sess was removed.
+func (s *Server) dropHot(sess *session, park *pagedSession) bool {
 	s.smu.Lock()
-	hot, ok := s.sessions[id]
-	if ok && (sess == nil || hot == sess) {
-		delete(s.sessions, id)
-		s.tenants.addHot(hot.tenant, -1)
-	} else {
-		hot = nil
-	}
-	cold, wasCold := s.paged[id]
-	if park == nil && wasCold {
-		delete(s.paged, id)
-		s.tenants.addCold(cold.tenant, -1)
-	} else if park != nil && hot != nil {
-		s.paged[id] = park
-		s.tenants.addCold(park.tenant, 1)
+	cur, ok := s.sessions[sess.id]
+	if ok = ok && cur == sess; ok {
+		delete(s.sessions, sess.id)
+		s.tenants.addHot(sess.tenant, -1)
+		if park != nil {
+			s.paged[sess.id] = park
+			s.tenants.addCold(park.tenant, 1)
+		}
 	}
 	s.smu.Unlock()
-	if hot != nil {
+	if ok {
+		s.releaseSessionMem(sess)
+	}
+	return ok
+}
+
+// forget takes the id off the node: its hot entry (returned, charge
+// released) and its cold entry (reported) both go.
+func (s *Server) forget(id string) (*session, bool) {
+	s.smu.Lock()
+	hot, ok := s.sessions[id]
+	if ok {
+		delete(s.sessions, id)
+		s.tenants.addHot(hot.tenant, -1)
+	}
+	cold, wasCold := s.paged[id]
+	if wasCold {
+		delete(s.paged, id)
+		s.tenants.addCold(cold.tenant, -1)
+	}
+	s.smu.Unlock()
+	if ok {
 		s.releaseSessionMem(hot)
 	}
 	return hot, wasCold
@@ -203,7 +217,7 @@ func (s *Server) pageOutSession(sess *session) error {
 	_ = sess.jrnl.Close()
 	sess.jrnl = nil
 	sess.journaled.Store(false)
-	if hot, _ := s.untrack(sess.id, sess, newPagedSession(&sess.meta, sess.shard, sess.lastActive.Load())); hot == nil {
+	if !s.dropHot(sess, newPagedSession(&sess.meta, sess.shard, sess.lastActive.Load())) {
 		// Deleted concurrently (DELETE removes from the hot table before
 		// taking ingestMu): honor the delete — drop the journal files we
 		// just checkpointed instead of resurrecting the session cold.
@@ -247,7 +261,7 @@ func (s *Server) reviveSession(id string) (*session, error) {
 	if sess == nil {
 		// Journal vanished or held no meta — the cold entry is stale. The
 		// id has no hot entry: under reviveMu only a revival makes it hot.
-		s.untrack(id, nil, nil)
+		s.forget(id)
 		return nil, ErrNoSession
 	}
 	sess.touch()
@@ -402,7 +416,7 @@ func (s *Server) pageColdest(target int64, forced bool) {
 // pre-paging eviction semantics, now counted as a deletion because the
 // state really is gone.
 func (s *Server) evictSession(sess *session) {
-	if hot, _ := s.untrack(sess.id, sess, nil); hot != nil {
+	if s.dropHot(sess, nil) {
 		s.metrics.sessionsDeleted.Add(1)
 	}
 }

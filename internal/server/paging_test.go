@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -183,6 +184,39 @@ func TestIdleSweepDeletesUnjournaled(t *testing.T) {
 		t.Fatalf("idle sweep without journal: paged=%d cold=%d, want 0/0", m.SessionsPaged, m.SessionsCold)
 	}
 	doJSON(t, "GET", ts.URL+"/sessions/"+sess.ID, nil, http.StatusNotFound, nil)
+}
+
+// TestEvictStaleAfterPageOut: an idle sweep that read a session hot and
+// then lost it to a racing page-out evicts with a stale pointer. The
+// parked cold entry and the tenant counts must survive the eviction, and
+// the session must still revive.
+func TestEvictStaleAfterPageOut(t *testing.T) {
+	s, ts := newWALServer(t, t.TempDir(), Config{Shards: 1, QueueDepth: 16})
+	tr := ocp.NewModel(ocp.Config{Gap: 2, Seed: 14, FaultRate: 0.2}).GenerateTrace(32)
+	sess := createSession(t, ts.URL, "assert", "OcpSimpleRead")
+	streamTicks(t, ts.URL, sess.ID, tr, 32)
+	stale, ok := s.session(sess.ID)
+	if !ok {
+		t.Fatal("session not hot after create")
+	}
+	if err := s.PageOutSession(sess.ID); err != nil {
+		t.Fatalf("pageout: %v", err)
+	}
+	before := s.Metrics()
+	s.evictSession(stale)
+	after := s.Metrics()
+	if after.SessionsCold != 1 || after.SessionsDeleted != 0 {
+		t.Fatalf("after stale evict: cold=%d deleted=%d, want 1/0", after.SessionsCold, after.SessionsDeleted)
+	}
+	if !reflect.DeepEqual(after.Tenants, before.Tenants) {
+		t.Fatalf("stale evict changed tenant counts: %v -> %v", before.Tenants, after.Tenants)
+	}
+	if cold := coldIDs(t, ts.URL); !cold[sess.ID] {
+		t.Fatalf("session %s not listed cold after stale evict: %v", sess.ID, cold)
+	}
+	if v := verdictFor(t, ts.URL, sess.ID, "OcpSimpleRead"); v.Steps != 32 {
+		t.Fatalf("revived verdict steps = %d, want 32", v.Steps)
+	}
 }
 
 // TestMemBudgetPagesColdestFirst: sessions are priced into a global

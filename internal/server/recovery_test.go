@@ -578,3 +578,47 @@ func TestReplacedSpecRecoversAsJournaled(t *testing.T) {
 		t.Fatalf("GET /specs after recovery = %+v, want only %+v", listed.Specs, wantSpec)
 	}
 }
+
+// TestRegistryCachesOnlyAcceptedSources: the source cache holds the
+// loaded sources and the journal-resolved ones, nothing else. A load
+// refused for a name collision caches nothing, a replace drops the
+// replaced source, and a journaled name that disagrees with its source
+// is refused whether or not the source is cached.
+func TestRegistryCachesOnlyAcceptedSources(t *testing.T) {
+	r := newRegistry()
+	simple := parser.Print("X", ocp.SimpleReadChart())
+	burst := parser.Print("X", ocp.BurstReadChart())
+	if _, err := r.LoadSource(simple, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.LoadSource(burst, false); err == nil {
+		t.Fatal("a colliding load without replace was accepted")
+	}
+	if len(r.bySource) != 1 || r.bySource[simple] == nil {
+		t.Fatalf("refused load left %d cached sources, want only the loaded one", len(r.bySource))
+	}
+	if _, err := r.resolve("Y", simple); err == nil {
+		t.Fatal("resolve accepted a cached source under another name")
+	}
+	if _, err := r.resolve("Y", burst); err == nil {
+		t.Fatal("resolve accepted an uncached source under another name")
+	}
+	if _, err := r.LoadSource(burst, true); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.bySource) != 1 || r.bySource[burst] == nil {
+		t.Fatalf("replace left %d cached sources, want only the new one", len(r.bySource))
+	}
+	// A session journaled on the replaced source compiles it once more,
+	// and every later one shares that artifact; GET /specs is unchanged.
+	first, err := r.resolve("X", simple)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := r.resolve("X", simple); err != nil || again != first {
+		t.Fatalf("second resolve of one source = %p, %v; want %p", again, err, first)
+	}
+	if sp, _ := r.Get("X"); sp.Source != burst || r.Len() != 1 {
+		t.Fatalf("resolve changed the loaded specs: X is %q, %d loaded", sp.Source, r.Len())
+	}
+}

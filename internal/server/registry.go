@@ -40,14 +40,14 @@ type Spec struct {
 
 // registry is the one place a chart is compiled. specs holds the loaded
 // specs: what GET /specs lists and POST /sessions resolves; hot-loading
-// via POST /specs swaps entries under the lock. bySource holds every
-// spec ever compiled, keyed by printed source (which names the chart),
-// so a source is synthesized once however many times it is loaded or
-// journaled: every session of it, live or rebuilt from a journal, shares
-// one artifact. A journaled source that no longer matches the loaded one
-// (its name was replaced) keeps an artifact of its own there, never
-// listed. bySource does not shrink: an artifact lives as long as the
-// daemon, the price of never compiling a source twice.
+// via POST /specs swaps entries under the lock. bySource maps printed
+// source (which names the chart) to its spec, so a source is synthesized
+// once however many times it is loaded or journaled: every session of
+// it, live or rebuilt from a journal, shares one artifact. It holds the
+// loaded specs' sources and the sources journaled sessions resolved; a
+// journaled source that no longer matches the loaded one (its name was
+// replaced) keeps an artifact of its own there, never listed. A replace
+// drops the replaced source, and a refused load stores nothing.
 type registry struct {
 	mu       sync.RWMutex
 	specs    map[string]*Spec
@@ -58,34 +58,31 @@ func newRegistry() *registry {
 	return &registry{specs: make(map[string]*Spec), bySource: make(map[string]*Spec)}
 }
 
-// compileChart returns the spec of one chart, synthesizing it only when
-// its printed source has not been compiled before. A panic anywhere in
-// synthesis is converted to an error so a malformed hot-load can never
-// take the daemon (or the serving registry) down with it.
+// compileChart returns the spec of one chart: the cached artifact of its
+// printed source, or a fresh synthesis that the caller caches with
+// keepLocked once it accepts it. A panic anywhere in synthesis is
+// converted to an error so a malformed hot-load can never take the
+// daemon (or the serving registry) down with it.
 func (r *registry) compileChart(name string, c chart.Chart) (*Spec, error) {
 	src := parser.Print(name, c)
-	if sp := r.cached(src); sp != nil {
+	r.mu.RLock()
+	sp := r.bySource[src]
+	r.mu.RUnlock()
+	if sp != nil {
 		return sp, nil
 	}
-	sp, err := synthesizeChart(name, src, c)
-	if err != nil {
-		return nil, err
-	}
-	// Two compiles of one source may race; the first stored wins, so
-	// every caller gets the same artifact.
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if prev, ok := r.bySource[src]; ok {
-		return prev, nil
-	}
-	r.bySource[src] = sp
-	return sp, nil
+	return synthesizeChart(name, src, c)
 }
 
-func (r *registry) cached(src string) *Spec {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.bySource[src]
+// keepLocked caches sp under its source and returns it, or returns the
+// artifact a racing compile of the same source cached first, so every
+// caller gets one artifact. r.mu must be held for writing.
+func (r *registry) keepLocked(sp *Spec) *Spec {
+	if prev, ok := r.bySource[sp.Source]; ok {
+		return prev
+	}
+	r.bySource[sp.Source] = sp
+	return sp
 }
 
 // synthesizeChart builds the monitor, guard programs and shared table of
@@ -141,20 +138,29 @@ func (r *registry) compileSource(src string) ([]*Spec, error) {
 }
 
 // resolve returns the spec of one journaled chart, compiling its source
-// only if no session or load has compiled it before. It leaves the
-// loaded specs alone: a journal never changes what GET /specs lists.
+// only if no session or load has compiled it before; a cached source
+// skips the parse too. It leaves the loaded specs alone: a journal never
+// changes what GET /specs lists.
 func (r *registry) resolve(name, src string) (*Spec, error) {
-	if sp := r.cached(src); sp != nil {
-		return sp, nil
+	r.mu.RLock()
+	sp := r.bySource[src]
+	r.mu.RUnlock()
+	if sp == nil {
+		specs, err := r.compileSource(src)
+		if err != nil {
+			return nil, err
+		}
+		if len(specs) != 1 {
+			return nil, fmt.Errorf("server: journaled source for %q compiled to %d specs", name, len(specs))
+		}
+		r.mu.Lock()
+		sp = r.keepLocked(specs[0])
+		r.mu.Unlock()
 	}
-	specs, err := r.compileSource(src)
-	if err != nil {
-		return nil, err
+	if sp.Name != name {
+		return nil, fmt.Errorf("server: journaled source for %q names chart %q", name, sp.Name)
 	}
-	if len(specs) != 1 || specs[0].Name != name {
-		return nil, fmt.Errorf("server: journaled source for %q compiled to %d spec(s)", name, len(specs))
-	}
-	return specs[0], nil
+	return sp, nil
 }
 
 // LoadSource parses .cesc source text, compiles each chart, and
@@ -178,7 +184,12 @@ func (r *registry) LoadSource(src string, replace bool) ([]string, error) {
 	}
 	names := make([]string, 0, len(specs))
 	for _, sp := range specs {
-		r.specs[sp.Name] = sp
+		if old, ok := r.specs[sp.Name]; ok && old.Source != sp.Source {
+			// Sessions of the replaced source keep their artifact; one
+			// rebuilt from its journal later compiles the source again.
+			delete(r.bySource, old.Source)
+		}
+		r.specs[sp.Name] = r.keepLocked(sp)
 		names = append(names, sp.Name)
 	}
 	return names, nil

@@ -795,7 +795,7 @@ func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 // in-flight page-out of the same session.
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sess, wasCold := s.untrack(id, nil, nil)
+	sess, wasCold := s.forget(id)
 	switch {
 	case sess != nil:
 		sess.ingestMu.Lock()

@@ -26,7 +26,8 @@ type Position struct {
 
 // ReadFrom scans the session's journal from pos, invoking fn for every
 // intact record in order, and returns the position just past the last
-// record consumed. Payloads alias a read buffer of this call's own. It is designed for concurrent live tailing:
+// record consumed. Payloads alias a read buffer of this call's own.
+// It is designed for concurrent live tailing:
 //
 //   - It never truncates or repairs anything. A record cut short at the
 //     end of the newest segment is the owner's in-flight append; the

@@ -390,9 +390,10 @@ func AppendFrame(dst []byte, kind byte, payload []byte) []byte {
 
 // readFrame is the only frame parser. It reads the frame at the start
 // of b into a record whose payload is a sub-slice of b, capped at the
-// frame's end, and returns the frame's size. It returns io.EOF when b is empty, errTorn when b ends
-// inside the frame, and errTooLong or errCRC when the frame is corrupt;
-// each caller applies its own tail policy to these.
+// frame's end, and returns the frame's size. It returns io.EOF when b
+// is empty, errTorn when b ends inside the frame, and errTooLong or
+// errCRC when the frame is corrupt; each caller applies its own tail
+// policy to these.
 func readFrame(b []byte) (Record, int, error) {
 	if len(b) == 0 {
 		return Record{}, 0, io.EOF
@@ -415,8 +416,9 @@ func readFrame(b []byte) (Record, int, error) {
 }
 
 // ReadFrames reads b as a sequence of whole frames and calls fn on each
-// record in order. Every payload aliases b, capped at its frame's end. It is strict: a torn or corrupt frame anywhere in b
-// is an error, as is an error from fn.
+// record in order. Every payload aliases b, capped at its frame's end.
+// It is strict: a torn or corrupt frame anywhere in b is an error, as
+// is an error from fn.
 func ReadFrames(b []byte, fn func(Record) error) error {
 	for off := 0; ; {
 		rec, size, err := readFrame(b[off:])
