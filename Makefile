@@ -72,9 +72,10 @@ minetest:
 	$(GO) run ./cmd/cescmine -q -name smoke_axi -clock aclk testdata/corpus/axi4_burst.ndjson >/dev/null
 
 # Fault-tolerance suite: crash-recovery, quarantine, fault-injection,
+# the interval policy's background-sync durability,
 # and client retry/exactly-once tests, under the race detector.
 crashtest:
-	$(GO) test -race -v -run 'Crash|Recovery|Quarantine|Dedup|Journal|Resume|ExactlyOnce|Injected|Truncated' \
+	$(GO) test -race -v -run 'Crash|Recovery|Quarantine|Dedup|Journal|Resume|ExactlyOnce|Injected|Truncated|Sync' \
 		./internal/server/ ./internal/client/ ./internal/wal/ ./internal/faultinject/ ./internal/trace/
 
 # Runs the in-tree `go test` benchmarks.

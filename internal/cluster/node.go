@@ -195,7 +195,9 @@ func New(cfg Config) (*Node, error) {
 	n.srv = srv
 
 	if cfg.StandbyDir != "" {
-		mgr, err := wal.OpenManager(wal.Options{Dir: cfg.StandbyDir})
+		// Every ship ends in one explicit Sync (standbyStore.append), so
+		// the standby journals need no policy sync of their own.
+		mgr, err := wal.OpenManager(wal.Options{Dir: cfg.StandbyDir, Sync: wal.SyncNever})
 		if err != nil {
 			srv.Close()
 			return nil, err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -181,6 +182,55 @@ func TestJournalAppendFailure(t *testing.T) {
 	})
 	if got := s.Metrics().WALErrors; got != 1 {
 		t.Fatalf("wal_errors = %d, want 1", got)
+	}
+}
+
+// TestJournalAppendFailureVCD checks that /vcd answers a journal append
+// failure as /ticks does: 500, not the 400 of a malformed upload, since
+// the chunk is already applied in memory.
+func TestJournalAppendFailureVCD(t *testing.T) {
+	faults := faultinject.New(1)
+	s, ts := newWALServer(t, t.TempDir(), Config{Shards: 1, QueueDepth: 8, Faults: faults})
+	sess := createSession(t, ts.URL, "detect", "OcpSimpleRead")
+	faults.Add(faultinject.Rule{
+		Point: "wal.append", Kind: faultinject.KindError, After: faults.Hits("wal.append"), Count: 1,
+	})
+	var buf bytes.Buffer
+	tr := ocp.NewModel(ocp.Config{Gap: 2, Seed: 9}).GenerateTrace(40)
+	if err := trace.WriteVCD(&buf, "ocp", trace.Trace(tr)); err != nil {
+		t.Fatal(err)
+	}
+	doJSON(t, "POST", fmt.Sprintf("%s/sessions/%s/vcd", ts.URL, sess.ID), buf.Bytes(), http.StatusInternalServerError, nil)
+	if got := s.Metrics().WALErrors; got != 1 {
+		t.Fatalf("wal_errors = %d, want 1", got)
+	}
+}
+
+// TestJournalBackgroundSyncFailure checks that a failed background
+// fsync under the interval policy reaches the client: the session's
+// next batch answers 500 and cescd_wal_errors_total rises by one.
+func TestJournalBackgroundSyncFailure(t *testing.T) {
+	faults := faultinject.New(1)
+	s, ts := newWALServer(t, t.TempDir(), Config{
+		Shards: 1, QueueDepth: 8, Faults: faults, FsyncEvery: 5 * time.Millisecond,
+	})
+	sess := createSession(t, ts.URL, "detect", "OcpSimpleRead")
+	faults.Add(faultinject.Rule{
+		Point: "wal.sync", Kind: faultinject.KindError, After: faults.Hits("wal.sync"), Count: 1,
+	})
+	tr := ocp.NewModel(ocp.Config{Gap: 2, Seed: 9}).GenerateTrace(20)
+	url := fmt.Sprintf("%s/sessions/%s/ticks?wait=1", ts.URL, sess.ID)
+	doJSON(t, "POST", url+"&seq=1", ndjson(t, tr[:10]), http.StatusOK, nil)
+	waitFor(t, 2*time.Second, func() bool { return faults.Fires("wal.sync") == 1 })
+	before := s.Metrics().WALErrors
+	doJSON(t, "POST", url+"&seq=2", ndjson(t, tr[10:]), http.StatusInternalServerError, nil)
+	if got := s.Metrics().WALErrors; got != before+1 {
+		t.Fatalf("wal_errors = %d, want %d", got, before+1)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if want := fmt.Sprintf("cescd_wal_errors_total %d\n", before+1); !strings.Contains(rec.Body.String(), want) {
+		t.Fatalf("/metrics lacks %q", want)
 	}
 }
 

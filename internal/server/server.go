@@ -113,7 +113,11 @@ type Config struct {
 	// wal.Options; 0 selects the wal default).
 	WALSegmentBytes int64
 	// Fsync selects the journal durability policy (default
-	// wal.SyncInterval); FsyncEvery is the interval policy's period.
+	// wal.SyncInterval: a background fsync of every dirty journal each
+	// FsyncEvery, so no batch issues an fsync and an acknowledged batch
+	// is durable within about one FsyncEvery). FsyncEvery is the interval
+	// policy's period (0 selects the wal default, 100ms). A failed fsync
+	// is never retried: the session's later batches answer 500.
 	Fsync      wal.SyncPolicy
 	FsyncEvery time.Duration
 	// SnapshotEvery checkpoints a session's monitor state every N
@@ -1023,27 +1027,8 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	case errDuplicate:
 		writeAck(w, http.StatusOK, ackJSON{Seq: seq, Duplicate: true})
 		return
-	case errPagedOut:
-		// Raced a page-out while holding a stale pointer: the retry
-		// resolves the ID again and revives the session.
-		w.Header().Set("Retry-After", "1")
-		WriteError(w, http.StatusConflict, "session %s was paged out; retry", sess.id)
-		return
-	case errMigrating:
-		w.Header().Set("Retry-After", "1")
-		WriteError(w, http.StatusConflict, "session %s is migrating to a new owner; retry", sess.id)
-		return
-	case errQueueFull:
-		w.Header().Set("Retry-After", "1")
-		WriteError(w, http.StatusTooManyRequests, "shard %d queue full", sess.shard)
-		return
-	case errDraining:
-		WriteError(w, http.StatusServiceUnavailable, "%v", err)
-		return
 	default:
-		// The batch is applied in memory but not durable; 500 asks the
-		// client to retry, and the retry is deduped.
-		WriteError(w, http.StatusInternalServerError, "journal append: %v", err)
+		writeAcceptError(w, sess, err, http.StatusInternalServerError)
 		return
 	}
 	if err := s.cfg.Faults.Hit("server.ingest.respond"); err != nil {
@@ -1083,6 +1068,38 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 // already accepted: acknowledged as a duplicate, not applied again.
 var errDuplicate = errors.New("server: duplicate batch")
 
+// errJournal wraps every journal failure accept returns: the batch is
+// applied in memory but not durable.
+var errJournal = errors.New("journal append")
+
+// writeAcceptError is the one error→status table of accept, for /ticks
+// and /vcd alike (errDuplicate is each route's own acknowledgement). An
+// error accept does not return, such as a malformed VCD upload, answers
+// other.
+func writeAcceptError(w http.ResponseWriter, sess *session, err error, other int) {
+	switch {
+	case errors.Is(err, errPagedOut):
+		// Raced a page-out while holding a stale pointer: the retry
+		// resolves the ID again and revives the session.
+		w.Header().Set("Retry-After", "1")
+		WriteError(w, http.StatusConflict, "session %s was paged out; retry", sess.id)
+	case errors.Is(err, errMigrating):
+		w.Header().Set("Retry-After", "1")
+		WriteError(w, http.StatusConflict, "session %s is migrating to a new owner; retry", sess.id)
+	case errors.Is(err, errQueueFull):
+		w.Header().Set("Retry-After", "1")
+		WriteError(w, http.StatusTooManyRequests, "shard %d queue full", sess.shard)
+	case errors.Is(err, errDraining):
+		WriteError(w, http.StatusServiceUnavailable, "%v", err)
+	case errors.Is(err, errJournal):
+		// 500 asks the client to retry; a retry with the same ?seq is
+		// deduped.
+		WriteError(w, http.StatusInternalServerError, "%v", err)
+	default:
+		WriteError(w, other, "%v", err)
+	}
+}
+
 // accept is the one accept path of a batch: an NDJSON body (enqueue is
 // tryEnqueue) or a VCD chunk (enqueueWait, seq 0). Under the session's
 // ingestMu, so duplicate detection, queue order and journal order agree,
@@ -1091,8 +1108,8 @@ var errDuplicate = errors.New("server: duplicate batch")
 // makes a snapshot due it waits for the worker to apply it and
 // checkpoints. A caller that will wait for the batch makes b.done
 // first; accept makes it only for a snapshot. The error is errPagedOut,
-// errMigrating, errDuplicate, enqueue's, or the journal append's — after
-// which the batch is applied but not durable.
+// errMigrating, errDuplicate, enqueue's, or the journal append's wrapped
+// in errJournal — after which the batch is applied but not durable.
 func (s *Server) accept(sess *session, b *batch, seq uint64, enqueue func(*batch) error) error {
 	sess.ingestMu.Lock()
 	defer sess.ingestMu.Unlock()
@@ -1140,7 +1157,7 @@ func (s *Server) accept(sess *session, b *batch, seq uint64, enqueue func(*batch
 	sess.walSeq = b.jseq
 	if err := s.journalBatch(sess, b, seq); err != nil {
 		s.metrics.walErrors.Add(1)
-		return err
+		return fmt.Errorf("%w: %w", errJournal, err)
 	}
 	if snapDue {
 		// Snapshot barrier: wait (still under ingestMu, so no later batch
@@ -1261,15 +1278,7 @@ func (s *Server) handleVCD(w http.ResponseWriter, r *http.Request) {
 		err = flush()
 	}
 	if err != nil {
-		code := http.StatusBadRequest
-		switch {
-		case err == errDraining:
-			code = http.StatusServiceUnavailable
-		case errors.Is(err, errMigrating), errors.Is(err, errPagedOut):
-			code = http.StatusConflict
-			w.Header().Set("Retry-After", "1")
-		}
-		WriteError(w, code, "%v", err)
+		writeAcceptError(w, sess, err, http.StatusBadRequest)
 		return
 	}
 	processed := true

@@ -45,9 +45,14 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncInterval (the default) fsyncs at most once per SyncEvery,
-	// lazily at append time — bounded data-loss window, near-SyncNever
-	// throughput.
+	// SyncInterval (the default) leaves every append to the manager's
+	// background syncer, which fsyncs each dirty journal once per
+	// SyncEvery: an acknowledged record is durable within about one
+	// SyncEvery, even if nothing is appended after it, and no append
+	// fsyncs (one that meets the background fsync of its own journal
+	// waits for it). A failed fsync is sticky: the journal returns the
+	// error from every later Append, AppendCheckpoint, Sync and Close,
+	// and never retries the fsync.
 	SyncInterval SyncPolicy = iota
 	// SyncAlways fsyncs after every append: no acknowledged record is
 	// ever lost, at a per-batch fsync cost.
@@ -93,7 +98,8 @@ type Options struct {
 	SegmentBytes int64
 	// Sync is the fsync policy (default SyncInterval).
 	Sync SyncPolicy
-	// SyncEvery is the SyncInterval period (default 100ms).
+	// SyncEvery is the SyncInterval period (default 100ms): the bound on
+	// how long an acknowledged record stays unsynced.
 	SyncEvery time.Duration
 	// Faults optionally wires the deterministic fault plane into the
 	// append ("wal.append") and fsync ("wal.sync") paths.
@@ -122,6 +128,8 @@ type Stats struct {
 }
 
 // Manager roots a journal directory and hands out per-session journals.
+// Under SyncInterval it runs one background syncer (syncLoop) while any
+// of its journals is open.
 type Manager struct {
 	opts Options
 
@@ -130,6 +138,14 @@ type Manager struct {
 	bytes    atomic.Uint64
 	replayed atomic.Uint64
 	torn     atomic.Uint64
+
+	// syncMu guards live, stopSync and syncDone. live holds the open
+	// journals the syncer visits. stopSync (nil when no syncer runs)
+	// stops the syncer, which closes syncDone as it exits.
+	syncMu   sync.Mutex
+	live     map[*Journal]struct{}
+	stopSync chan struct{}
+	syncDone chan struct{}
 }
 
 // OpenManager ensures the root directory exists and returns a manager.
@@ -253,13 +269,16 @@ type Journal struct {
 	mgr *Manager
 	dir string
 
-	mu       sync.Mutex
-	f        *os.File
-	seg      uint64 // current segment index
-	segSize  int64
-	lastSync time.Time
-	dirty    bool
-	closed   bool
+	mu      sync.Mutex
+	f       *os.File
+	seg     uint64 // current segment index
+	segSize int64
+	dirty   bool
+	closed  bool
+	// err is the first failed fsync. It is sticky: the pages that fsync
+	// failed to write may already be dropped from the page cache, so a
+	// later fsync that succeeds proves nothing about them.
+	err error
 }
 
 // segName renders the segment file name for an index.
@@ -291,7 +310,7 @@ func (m *Manager) OpenJournal(id string, fn func(Record) error) (*Journal, error
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{mgr: m, dir: dir, lastSync: time.Now()}
+	j := &Journal{mgr: m, dir: dir}
 	for i, seg := range segs {
 		last := i == len(segs)-1
 		if err := j.scanSegment(seg, last, fn); err != nil {
@@ -315,7 +334,72 @@ func (m *Manager) OpenJournal(id string, fn func(Record) error) (*Journal, error
 	}
 	j.f = f
 	j.segSize = st.Size()
+	if m.opts.Sync == SyncInterval {
+		m.register(j)
+	}
 	return j, nil
+}
+
+// register adds an interval-policy journal to the syncer's set,
+// starting the syncer if it is the first.
+func (m *Manager) register(j *Journal) {
+	m.syncMu.Lock()
+	defer m.syncMu.Unlock()
+	if m.live == nil {
+		m.live = make(map[*Journal]struct{})
+	}
+	m.live[j] = struct{}{}
+	if m.stopSync == nil {
+		m.stopSync, m.syncDone = make(chan struct{}), make(chan struct{})
+		go m.syncLoop(m.stopSync, m.syncDone)
+	}
+}
+
+// unregister drops a closed journal from the syncer's set. If it was
+// the last, it stops the syncer and returns once the syncer has exited.
+// The caller must not hold the lock of any journal: the syncer may be
+// waiting for it.
+func (m *Manager) unregister(j *Journal) {
+	m.syncMu.Lock()
+	_, ok := m.live[j]
+	delete(m.live, j)
+	if !ok || len(m.live) > 0 {
+		m.syncMu.Unlock()
+		return
+	}
+	stop, done := m.stopSync, m.syncDone
+	m.stopSync, m.syncDone = nil, nil
+	m.syncMu.Unlock()
+	close(stop)
+	<-done
+}
+
+// syncLoop is the background syncer of the interval policy: every
+// SyncEvery it syncs each registered journal that is dirty, one after
+// another, each under its own lock. A failure stays in the journal
+// (see Journal.err); the loop goes on with the others.
+func (m *Manager) syncLoop(stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	tick := time.NewTicker(m.opts.SyncEvery)
+	defer tick.Stop()
+	var open []*Journal
+	for {
+		select {
+		case <-stop:
+			return
+		case <-tick.C:
+		}
+		m.syncMu.Lock()
+		for j := range m.live {
+			open = append(open, j)
+		}
+		m.syncMu.Unlock()
+		for _, j := range open {
+			_ = j.Sync()
+		}
+		clear(open)
+		open = open[:0]
+	}
 }
 
 // listSegments returns the segment indices present in dir, sorted.
@@ -443,8 +527,9 @@ func recordCRC(kind byte, payload []byte) uint32 {
 	return crc32.Update(crc, crc32.IEEETable, payload)
 }
 
-// Append frames and writes one record, rotating segments by size and
-// fsyncing per the manager's policy.
+// Append frames and writes one record, rotating segments by size. Under
+// SyncAlways it fsyncs the record before returning; under SyncInterval
+// the background syncer does.
 func (j *Journal) Append(kind byte, payload []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -454,6 +539,9 @@ func (j *Journal) Append(kind byte, payload []byte) error {
 func (j *Journal) appendLocked(kind byte, payload []byte) error {
 	if j.closed {
 		return fmt.Errorf("wal: journal closed")
+	}
+	if j.err != nil {
+		return j.err
 	}
 	if err := j.mgr.opts.Faults.Hit("wal.append"); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
@@ -471,34 +559,27 @@ func (j *Journal) appendLocked(kind byte, payload []byte) error {
 	j.dirty = true
 	j.mgr.appends.Add(1)
 	j.mgr.bytes.Add(uint64(frame))
-	return j.maybeSyncLocked()
-}
-
-// maybeSyncLocked applies the fsync policy after an append.
-func (j *Journal) maybeSyncLocked() error {
-	switch j.mgr.opts.Sync {
-	case SyncAlways:
+	if j.mgr.opts.Sync == SyncAlways {
 		return j.syncLocked()
-	case SyncInterval:
-		if time.Since(j.lastSync) >= j.mgr.opts.SyncEvery {
-			return j.syncLocked()
-		}
 	}
 	return nil
 }
 
+// syncLocked fsyncs the current segment if it is dirty. A failure is
+// kept in j.err and returned from then on.
 func (j *Journal) syncLocked() error {
-	if !j.dirty {
-		return nil
+	if j.err != nil || !j.dirty {
+		return j.err
 	}
 	if err := j.mgr.opts.Faults.Hit("wal.sync"); err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
+		j.err = fmt.Errorf("wal: sync: %w", err)
+		return j.err
 	}
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync %s: %w", j.f.Name(), err)
+		j.err = fmt.Errorf("wal: fsync %s: %w", j.f.Name(), err)
+		return j.err
 	}
 	j.dirty = false
-	j.lastSync = time.Now()
 	j.mgr.syncs.Add(1)
 	return nil
 }
@@ -556,7 +637,8 @@ func (j *Journal) AppendCheckpoint(kind byte, payload []byte) error {
 	return nil
 }
 
-// Sync forces an fsync of buffered appends.
+// Sync forces an fsync of buffered appends. After a failed fsync it
+// returns that failure without syncing again.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -566,8 +648,10 @@ func (j *Journal) Sync() error {
 	return j.syncLocked()
 }
 
-// Close syncs and closes the journal.
+// Close syncs and closes the journal. Closing a manager's last
+// interval-policy journal stops its background syncer.
 func (j *Journal) Close() error {
+	defer j.mgr.unregister(j) // after the unlock below
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -585,6 +669,7 @@ func (j *Journal) Close() error {
 // path: whatever the OS has not flushed is exactly what a real crash
 // would lose under the configured policy.
 func (j *Journal) Abandon() {
+	defer j.mgr.unregister(j) // after the unlock below
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
