@@ -204,6 +204,11 @@ func (s *Server) pageOutSession(sess *session) error {
 	if sess.jrnl == nil {
 		return errNotJournaled
 	}
+	if sess.jrnlErr != nil {
+		// Its checkpoint would fail too, and count one more WAL error
+		// on every janitor sweep.
+		return sess.jrnlErr
+	}
 	if err := s.barrier(sess); err != nil {
 		return err
 	}

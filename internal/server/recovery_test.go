@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -208,7 +209,9 @@ func TestJournalAppendFailureVCD(t *testing.T) {
 
 // TestJournalBackgroundSyncFailure checks that a failed background
 // fsync under the interval policy reaches the client: the session's
-// next batch answers 500 and cescd_wal_errors_total rises by one.
+// next batch answers 500 and cescd_wal_errors_total rises by one. The
+// journal has failed for good, so the retry of that batch, every later
+// batch and a VCD upload answer 500 too, never a 200 duplicate.
 func TestJournalBackgroundSyncFailure(t *testing.T) {
 	faults := faultinject.New(1)
 	s, ts := newWALServer(t, t.TempDir(), Config{
@@ -224,6 +227,17 @@ func TestJournalBackgroundSyncFailure(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return faults.Fires("wal.sync") == 1 })
 	before := s.Metrics().WALErrors
 	doJSON(t, "POST", url+"&seq=2", ndjson(t, tr[10:]), http.StatusInternalServerError, nil)
+	doJSON(t, "POST", url+"&seq=2", ndjson(t, tr[10:]), http.StatusInternalServerError, nil)
+	doJSON(t, "POST", url+"&seq=1", ndjson(t, tr[:10]), http.StatusInternalServerError, nil)
+	doJSON(t, "POST", url+"&seq=3", ndjson(t, tr[10:]), http.StatusInternalServerError, nil)
+	var buf bytes.Buffer
+	if err := trace.WriteVCD(&buf, "ocp", trace.Trace(tr)); err != nil {
+		t.Fatal(err)
+	}
+	doJSON(t, "POST", fmt.Sprintf("%s/sessions/%s/vcd", ts.URL, sess.ID), buf.Bytes(), http.StatusInternalServerError, nil)
+	if err := s.PageOutSession(sess.ID); !errors.Is(err, errJournal) {
+		t.Fatalf("page-out of a session whose journal failed = %v, want errJournal", err)
+	}
 	if got := s.Metrics().WALErrors; got != before+1 {
 		t.Fatalf("wal_errors = %d, want %d", got, before+1)
 	}

@@ -115,9 +115,10 @@ type Config struct {
 	// Fsync selects the journal durability policy (default
 	// wal.SyncInterval: a background fsync of every dirty journal each
 	// FsyncEvery, so no batch issues an fsync and an acknowledged batch
-	// is durable within about one FsyncEvery). FsyncEvery is the interval
-	// policy's period (0 selects the wal default, 100ms). A failed fsync
-	// is never retried: the session's later batches answer 500.
+	// is durable within one FsyncEvery plus one syncer pass). FsyncEvery
+	// is the interval policy's period (0 selects the wal default, 100ms).
+	// A failed fsync is never retried: every later batch of the session,
+	// a retry included, answers 500.
 	Fsync      wal.SyncPolicy
 	FsyncEvery time.Duration
 	// SnapshotEvery checkpoints a session's monitor state every N
@@ -925,7 +926,8 @@ func ReadBody(body io.Reader, declared int64) ([]byte, error) {
 // enabled the batch is appended to the session's WAL (in accept order,
 // under the same per-session lock as the dedup check) before the
 // response; an append failure returns 500 and the client's retry is
-// absorbed by the dedup watermark.
+// absorbed by the dedup watermark, unless the journal has failed for
+// good (a failed fsync): then every later batch answers 500.
 func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	ingestStart := time.Now()
 	rc := ArmBodyDeadline(w)
@@ -1028,7 +1030,7 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 		writeAck(w, http.StatusOK, ackJSON{Seq: seq, Duplicate: true})
 		return
 	default:
-		writeAcceptError(w, sess, err, http.StatusInternalServerError)
+		writeAcceptError(w, sess, err)
 		return
 	}
 	if err := s.cfg.Faults.Hit("server.ingest.respond"); err != nil {
@@ -1069,14 +1071,13 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 var errDuplicate = errors.New("server: duplicate batch")
 
 // errJournal wraps every journal failure accept returns: the batch is
-// applied in memory but not durable.
+// applied in memory but not durable, or, once the journal has failed
+// for good, refused.
 var errJournal = errors.New("journal append")
 
 // writeAcceptError is the one error→status table of accept, for /ticks
-// and /vcd alike (errDuplicate is each route's own acknowledgement). An
-// error accept does not return, such as a malformed VCD upload, answers
-// other.
-func writeAcceptError(w http.ResponseWriter, sess *session, err error, other int) {
+// and /vcd alike (errDuplicate is each route's own acknowledgement).
+func writeAcceptError(w http.ResponseWriter, sess *session, err error) {
 	switch {
 	case errors.Is(err, errPagedOut):
 		// Raced a page-out while holding a stale pointer: the retry
@@ -1091,25 +1092,25 @@ func writeAcceptError(w http.ResponseWriter, sess *session, err error, other int
 		WriteError(w, http.StatusTooManyRequests, "shard %d queue full", sess.shard)
 	case errors.Is(err, errDraining):
 		WriteError(w, http.StatusServiceUnavailable, "%v", err)
-	case errors.Is(err, errJournal):
-		// 500 asks the client to retry; a retry with the same ?seq is
-		// deduped.
-		WriteError(w, http.StatusInternalServerError, "%v", err)
 	default:
-		WriteError(w, other, "%v", err)
+		// errJournal: 500 asks the client to retry. The retry of a
+		// failed append is deduped; on a journal that failed for good
+		// it answers 500 again.
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 	}
 }
 
 // accept is the one accept path of a batch: an NDJSON body (enqueue is
 // tryEnqueue) or a VCD chunk (enqueueWait, seq 0). Under the session's
 // ingestMu, so duplicate detection, queue order and journal order agree,
-// it refuses a paged-out or frozen session, dedups by seq, enqueues,
-// advances the dedup watermark and journals the batch; when the batch
-// makes a snapshot due it waits for the worker to apply it and
-// checkpoints. A caller that will wait for the batch makes b.done
-// first; accept makes it only for a snapshot. The error is errPagedOut,
-// errMigrating, errDuplicate, enqueue's, or the journal append's wrapped
-// in errJournal — after which the batch is applied but not durable.
+// it refuses a paged-out or frozen session or one whose journal failed
+// for good, dedups by seq, enqueues, advances the dedup watermark and
+// journals the batch; when the batch makes a snapshot due it waits for
+// the worker to apply it and checkpoints. A caller that will wait for
+// the batch makes b.done first; accept makes it only for a snapshot.
+// The error is errPagedOut, errMigrating, errDuplicate, enqueue's, or a
+// journal failure wrapped in errJournal — after a failed append the
+// batch is applied but not durable.
 func (s *Server) accept(sess *session, b *batch, seq uint64, enqueue func(*batch) error) error {
 	sess.ingestMu.Lock()
 	defer sess.ingestMu.Unlock()
@@ -1118,6 +1119,8 @@ func (s *Server) accept(sess *session, b *batch, seq uint64, enqueue func(*batch
 		return errPagedOut
 	case sess.frozen:
 		return errMigrating
+	case sess.jrnlErr != nil:
+		return sess.jrnlErr
 	case seq > 0 && seq <= sess.lastSeq:
 		s.metrics.batchesDeduped.Add(1)
 		return errDuplicate
@@ -1157,7 +1160,14 @@ func (s *Server) accept(sess *session, b *batch, seq uint64, enqueue func(*batch
 	sess.walSeq = b.jseq
 	if err := s.journalBatch(sess, b, seq); err != nil {
 		s.metrics.walErrors.Add(1)
-		return fmt.Errorf("%w: %w", errJournal, err)
+		err = fmt.Errorf("%w: %w", errJournal, err)
+		if sess.jrnl.Sync() != nil {
+			// The journal has failed for good: it would drop every
+			// later batch while the dedup watermark acknowledged each
+			// retry as a duplicate. Refuse them all instead.
+			sess.jrnlErr = err
+		}
+		return err
 	}
 	if snapDue {
 		// Snapshot barrier: wait (still under ingestMu, so no later batch
@@ -1243,6 +1253,9 @@ func (s *Server) handleVCD(w http.ResponseWriter, r *http.Request) {
 	var raw []byte
 	chunk := new(event.PackedBatch)
 	chunk.Reset(sess.vocab.Len())
+	// acceptErr is accept's refusal of a chunk; any other error is a
+	// malformed upload.
+	var acceptErr error
 	flush := func() error {
 		n := chunk.Len()
 		if n == 0 {
@@ -1254,8 +1267,8 @@ func (s *Server) handleVCD(w http.ResponseWriter, r *http.Request) {
 		// subsequent batches absorb the throttling.
 		s.tenants.takeTicks(sess.tenant, n, true)
 		b := &batch{sess: sess, packed: chunk, raw: raw, enqueued: time.Now(), done: make(chan struct{})}
-		if err := s.accept(sess, b, 0, s.enqueueWait); err != nil {
-			return err
+		if acceptErr = s.accept(sess, b, 0, s.enqueueWait); acceptErr != nil {
+			return acceptErr
 		}
 		<-b.done
 		total += n
@@ -1277,8 +1290,12 @@ func (s *Server) handleVCD(w http.ResponseWriter, r *http.Request) {
 		_ = rc.SetReadDeadline(time.Time{})
 		err = flush()
 	}
+	if acceptErr != nil {
+		writeAcceptError(w, sess, acceptErr)
+		return
+	}
 	if err != nil {
-		writeAcceptError(w, sess, err, http.StatusBadRequest)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	processed := true

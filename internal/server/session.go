@@ -77,6 +77,11 @@ type session struct {
 	lastSeq  uint64 // highest client seq accepted (dedup watermark)
 	walSeq   uint64 // journal index of the last appended batch record
 	jrnl     *wal.Journal
+	// jrnlErr is the failure of a journal that failed for good (guarded
+	// by ingestMu): set when an append fails and a Sync after it fails
+	// too, as every Sync does once an fsync has failed. accept then
+	// refuses every batch, retries included, with jrnlErr.
+	jrnlErr error
 	// journaled mirrors jrnl != nil for lock-free readers (the janitor
 	// sweep and fairness scans pick page-out candidates without taking
 	// every session's ingestMu); jrnl itself is only touched under

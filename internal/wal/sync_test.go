@@ -47,6 +47,34 @@ func TestIntervalSyncsIdleJournal(t *testing.T) {
 	t.Logf("synced %v after the append (SyncEvery %v)", time.Since(start).Round(time.Millisecond), every)
 }
 
+// TestSyncPassCoversEveryDirtyJournal checks that one pass of the
+// syncer, which runs several fsyncs at once, syncs every dirty journal
+// exactly once.
+func TestSyncPassCoversEveryDirtyJournal(t *testing.T) {
+	m := openManager(t, Options{SyncEvery: 5 * time.Millisecond})
+	js := make([]*Journal, 3*syncWorkers+1)
+	for i := range js {
+		js[i], _ = collect(t, m, "s"+strconv.Itoa(i))
+		defer js[i].Close()
+	}
+	for _, j := range js {
+		if err := j.Append(1, []byte("r")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitUntil(t, 2*time.Second, "every journal synced", func() bool {
+		for _, j := range js {
+			if j.isDirty() {
+				return false
+			}
+		}
+		return true
+	})
+	if got := m.Stats().Syncs; got != uint64(len(js)) {
+		t.Fatalf("syncs = %d, want %d (one per dirty journal)", got, len(js))
+	}
+}
+
 // TestBackgroundSyncFailureSticky checks that a failed background fsync
 // stays with the journal: every later Append, Sync and Close returns it,
 // and the fsync is never tried again.

